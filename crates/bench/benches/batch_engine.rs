@@ -2,14 +2,13 @@
 //!
 //! Compares, on one shared `explain_all` workload:
 //!
-//! * `eager_seq` — the pre-engine baseline (full rescan per round, fresh
-//!   allocations per target),
+//! * `srk_seq` — the pre-engine baseline: the row-list scan, no index,
 //! * `lazy_seq` — CELF lazy-greedy selection + fused popcounts + scratch
 //!   reuse, still sequential,
 //! * `engine_parallel` — the full engine: lazy greedy + duplicate-row
 //!   memoization + work-stealing scheduler.
 
-use cce_core::{Alpha, Cce, CceConfig, Context, ContextIndex, ExplainScratch};
+use cce_core::{Alpha, Cce, CceConfig, Context, ContextIndex, ExplainScratch, Srk};
 use cce_dataset::{synth, BinSpec};
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -28,11 +27,12 @@ fn bench_batch_engine(c: &mut Criterion) {
         .unwrap_or(4);
 
     let mut group = c.benchmark_group("batch_engine");
-    group.bench_function(format!("eager_seq/{n}"), |b| {
+    let srk = Srk::new(alpha);
+    group.bench_function(format!("srk_seq/{n}"), |b| {
         b.iter(|| {
             let mut keys = 0usize;
             for t in 0..n {
-                keys += usize::from(idx.explain_eager(ctx, t, alpha).is_ok());
+                keys += usize::from(srk.explain(ctx, t).is_ok());
             }
             std::hint::black_box(keys)
         });

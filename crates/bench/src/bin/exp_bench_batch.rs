@@ -4,11 +4,11 @@
 //!
 //! Three paths are timed over the same `explain_all` workload:
 //!
-//! * **before** — the pre-engine path: eager full-rescan indexed explain,
-//!   sequential, fresh allocations per target
-//!   ([`ContextIndex::explain_eager`]);
-//! * **lazy_seq** — lazy-greedy (CELF) selection with scratch reuse,
-//!   still sequential ([`ContextIndex::explain_with`]);
+//! * **before** — the pre-engine path: the lazy-greedy driver over row
+//!   lists, sequential, no index ([`Srk::explain`], what plain
+//!   `cce explain` runs);
+//! * **lazy_seq** — the same driver over the bitset index with scratch
+//!   reuse, still sequential ([`ContextIndex::explain_with`]);
 //! * **after** — the full engine: lazy greedy + scratch reuse +
 //!   duplicate-row memoization + work-stealing scheduler
 //!   ([`Cce::explain_all_parallel`]).
@@ -38,7 +38,7 @@
 use std::time::Instant;
 
 use cce_core::kernels::StripeConfig;
-use cce_core::{Alpha, Cce, CceConfig, Context, ContextIndex, ExplainScratch};
+use cce_core::{Alpha, Cce, CceConfig, Context, ContextIndex, ExplainScratch, Srk};
 use cce_dataset::{synth, BinSpec};
 
 /// One `(dataset, buckets, alpha)` measurement.
@@ -127,20 +127,20 @@ fn run_config(
     // Every measured side pays the full `explain_all` cost, index build
     // included — that is what the batch entry point actually does.
 
-    // --- before: eager sequential (the pre-engine explain_all) ---------
-    let scans_eager_0 = counter_value("cce_explain_violator_scans_total", Some("indexed_eager"));
+    // --- before: the row-list scan, no index (plain `cce explain`) ------
+    let scans_srk_0 = counter_value("cce_explain_violator_scans_total", Some("srk"));
     let mut before_keys = 0usize;
+    let srk = Srk::new(alpha);
     let before_secs = time_best(reps, || {
-        let idx = ContextIndex::new(&ctx);
         let mut keys = 0usize;
         for t in 0..n {
-            keys += usize::from(idx.explain_eager(&ctx, t, alpha).is_ok());
+            keys += usize::from(srk.explain(&ctx, t).is_ok());
         }
         before_keys = keys;
     });
-    let violator_scans_before =
-        (counter_value("cce_explain_violator_scans_total", Some("indexed_eager")) - scans_eager_0)
-            / reps as u64;
+    let violator_scans_before = (counter_value("cce_explain_violator_scans_total", Some("srk"))
+        - scans_srk_0)
+        / reps as u64;
 
     // --- lazy sequential with scratch reuse ----------------------------
     let scans_lazy_0 = counter_value("cce_explain_violator_scans_total", Some("indexed"));
@@ -161,7 +161,7 @@ fn run_config(
     let lazy_skips = (counter_value("cce_lazy_greedy_skips_total", None) - skips_0) / reps as u64;
     assert_eq!(
         before_keys, lazy_keys,
-        "lazy and eager paths must succeed on identical targets"
+        "indexed and row-list paths must succeed on identical targets"
     );
 
     // --- per-key latency percentiles (separate pass: the per-key timer

@@ -12,8 +12,12 @@ fn tmp(name: &str) -> std::path::PathBuf {
     dir.join(name)
 }
 
+/// Exports the Loan dataset to a file of its own: tests run in parallel,
+/// and one rewriting a shared CSV while another reads it fails both.
 fn export_loan() -> std::path::PathBuf {
-    let path = tmp("loan.csv");
+    static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let path = tmp(&format!("loan-{}-{n}.csv", std::process::id()));
     let out = cce()
         .args([
             "export",

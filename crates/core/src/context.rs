@@ -151,16 +151,6 @@ impl Context {
         Ok(())
     }
 
-    /// Rows whose prediction differs from the target's — the instances a
-    /// key must distinguish from the target (`I \ I_{M(x₀)}` in the
-    /// paper's notation).
-    pub fn differing_rows(&self, target: usize) -> Vec<u32> {
-        let p0 = self.predictions[target];
-        (0..self.len() as u32)
-            .filter(|&r| self.predictions[r as usize] != p0)
-            .collect()
-    }
-
     /// Rows violating the rule semantics of `feats` for `target`: they
     /// agree with the target on every feature of `feats` yet carry a
     /// different prediction.
@@ -368,7 +358,6 @@ mod tests {
     fn empty_feature_set_violators_are_all_differing() {
         let (ctx, x0) = figure2();
         assert_eq!(ctx.count_violators(&[], x0), 3); // x1, x5, x6 approved
-        assert_eq!(ctx.differing_rows(x0), vec![1, 5, 6]);
     }
 
     #[test]

@@ -591,7 +591,7 @@ mod tests {
         let targets: Vec<usize> = (0..60).collect();
         let batch = engine.explain_batch(&targets, budget, 3);
         for (&t, got) in targets.iter().zip(&batch) {
-            assert_eq!(&srk.explain_budgeted(&ctx, t, budget), got);
+            assert_eq!(&srk.explain_naive_budgeted(&ctx, t, budget), got);
         }
         assert!(
             batch.iter().flatten().any(|b| !b.status.is_complete()),

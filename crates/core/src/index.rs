@@ -15,55 +15,35 @@
 //! shards one huge bitset pass across cores
 //! ([`ContextIndex::explain_striped`]).
 //!
-//! On top of the bitset representation, [`ContextIndex::explain`] runs a
-//! **lazy-greedy (CELF-style) selection**: a feature's marginal gain —
-//! the number of violators it would eliminate — is monotone
-//! non-increasing as the violator set shrinks, so a score computed in an
-//! earlier round is a valid *upper bound* on the current one. Candidates
-//! wait in a max-heap keyed by their last-known `(gain, coverage)`; each
-//! round re-evaluates only until the heap's top carries a fresh score,
-//! skipping the features whose stale bounds already lose (counted in
-//! `cce_lazy_greedy_skips_total`). Because the comparison key includes
-//! the supporter-coverage tie-break (also monotone non-increasing), the
-//! selected feature is *exactly* the one the full rescan would pick —
-//! including all tie-breaks — so the output is byte-identical to
-//! [`ContextIndex::explain_eager`] and [`Srk::explain`].
-//!
-//! Round 0 never touches a bitset at all: its scores depend on the
-//! target only through `(class, feature, value)`, so the index tabulates
-//! them at build time ([`ClassIndex::seed`]). Short keys — the common
-//! case — therefore cost a table argmax plus one fused materialization
-//! pass per picked feature, and empty keys (the tolerance already
-//! covers the violators) cost nothing.
+//! The index is a count source for the one lazy-greedy driver
+//! ([`crate::greedy`]): scores are `count_and` passes over the live
+//! bitsets, round-0 seeds are tabulated at build time
+//! ([`ClassIndex::seed`]), and the first pick materializes the live sets
+//! fused with its intersection (`posting ∩ ¬class`).
 //!
 //! # Tail-bit invariant
 //!
 //! Every `RowSet` keeps its padding bits — bit positions at or above
 //! `rows` in the last word — **clear at all times**. Constructors start
 //! zeroed, `set` refuses out-of-range rows, intersections only clear
-//! bits, and the one complement operation masks its own tail; every
-//! kernel entry checks the invariant with
+//! bits, and `pop` re-masks the shortened tail; every kernel entry
+//! checks the invariant with
 //! [`RowSet::debug_assert_tail_clear`]. This is what lets the fused
 //! kernels skip per-call tail masking entirely (`b ∩ ¬a` is clean
 //! because `b` is), at every `rows % 64` shape and SIMD lane width.
-//!
-//! The indexed paths are differentially tested against [`Srk::explain`]:
-//! identical keys, always.
-//!
-//! [`Srk::explain`]: crate::Srk::explain
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::collections::HashMap;
+use std::convert::Infallible;
 
-use cce_dataset::Label;
+use cce_dataset::{Instance, Label};
 
 use crate::alpha::Alpha;
 use crate::context::Context;
 use crate::error::ExplainError;
+use crate::greedy::{self, record_run, CandidateHeap, CountSource};
 use crate::kernels::{self, Kernels, StripeConfig, TeamHandle};
 use crate::key::RelativeKey;
-use crate::srk::{BudgetedKey, ExplainStatus, WorkBudget};
+use crate::srk::{BudgetedKey, WorkBudget};
 
 /// A dense bitset over context rows.
 ///
@@ -151,14 +131,6 @@ impl RowSet {
         (kernels::active().count)(&self.words) as usize
     }
 
-    /// `|self ∩ other|` without materializing the intersection.
-    fn count_and(&self, other: &RowSet) -> usize {
-        self.debug_assert_tail_clear();
-        other.debug_assert_tail_clear();
-        debug_assert_eq!(self.words.len(), other.words.len());
-        (kernels::active().count_and)(&self.words, &other.words) as usize
-    }
-
     /// Fused `(|self ∩ a|, |self ∩ b|)` in a single pass over the words.
     ///
     /// The seed-table build needs a posting's coverage against every
@@ -181,43 +153,6 @@ impl RowSet {
         for (a, b) in self.words.iter_mut().zip(&other.words) {
             *a &= b;
         }
-    }
-
-    /// `self ∩= other`, returning the new cardinality so the loop head
-    /// never re-popcounts the whole set.
-    fn and_assign_count(&mut self, other: &RowSet) -> usize {
-        self.debug_assert_tail_clear();
-        other.debug_assert_tail_clear();
-        debug_assert_eq!(self.words.len(), other.words.len());
-        (kernels::active().and_assign_count)(&mut self.words, &other.words) as usize
-    }
-
-    /// Complement within the first `rows` rows — the one operation that
-    /// can set padding bits, so it masks its own tail.
-    fn not(&self) -> RowSet {
-        self.debug_assert_tail_clear();
-        let mut out = RowSet {
-            words: self.words.iter().map(|w| !w).collect(),
-            rows: self.rows,
-        };
-        out.mask_tail();
-        out
-    }
-
-    /// Overwrites `self` with `b ∩ ¬a`, returning the new cardinality —
-    /// the fused first-pick materialization of the violator set
-    /// (`posting ∩ ¬class`) in a single pass. `b`'s clear tail keeps the
-    /// result's tail clear without masking.
-    fn copy_and_not_count(&mut self, b: &RowSet, a: &RowSet) -> usize {
-        b.debug_assert_tail_clear();
-        a.debug_assert_tail_clear();
-        debug_assert_eq!(b.words.len(), a.words.len());
-        self.rows = b.rows;
-        self.words.resize(b.words.len(), 0);
-        if self.words.len() > b.words.len() {
-            self.words.truncate(b.words.len());
-        }
-        (kernels::active().and_not_count)(&mut self.words, &b.words, &a.words) as usize
     }
 
     /// Overwrites `self` with `a ∩ b`, reusing the allocation.
@@ -267,120 +202,56 @@ impl Exec<'_> {
     }
 
     fn count_and(&self, a: &RowSet, b: &RowSet) -> usize {
-        match self.team {
-            Some(team) => {
-                a.debug_assert_tail_clear();
-                b.debug_assert_tail_clear();
-                kernels::stripes::count_and(self.k, team, self.words_per_stripe, &a.words, &b.words)
-                    as usize
-            }
-            None => a.count_and(b),
-        }
+        a.debug_assert_tail_clear();
+        b.debug_assert_tail_clear();
+        debug_assert_eq!(a.words.len(), b.words.len());
+        let (k, wps) = (self.k, self.words_per_stripe);
+        (match self.team {
+            Some(team) => kernels::stripes::count_and(k, team, wps, &a.words, &b.words),
+            None => (k.count_and)(&a.words, &b.words),
+        }) as usize
     }
 
+    /// `dst ∩= src`, returning the new cardinality so the loop head
+    /// never re-popcounts the whole set.
     fn and_assign_count(&self, dst: &mut RowSet, src: &RowSet) -> usize {
-        match self.team {
-            Some(team) => {
-                dst.debug_assert_tail_clear();
-                src.debug_assert_tail_clear();
-                kernels::stripes::and_assign_count(
-                    self.k,
-                    team,
-                    self.words_per_stripe,
-                    &mut dst.words,
-                    &src.words,
-                ) as usize
-            }
-            None => dst.and_assign_count(src),
-        }
+        dst.debug_assert_tail_clear();
+        src.debug_assert_tail_clear();
+        debug_assert_eq!(dst.words.len(), src.words.len());
+        let (k, wps, d, s) = (self.k, self.words_per_stripe, &mut dst.words, &src.words);
+        (match self.team {
+            Some(team) => kernels::stripes::and_assign_count(k, team, wps, d, s),
+            None => (k.and_assign_count)(d, s),
+        }) as usize
     }
 
+    /// Overwrites `dst` with `b ∩ ¬a`, returning the new cardinality —
+    /// the fused first-pick materialization of the violator set
+    /// (`posting ∩ ¬class`) in a single pass. `b`'s clear tail keeps the
+    /// result's tail clear without masking.
     fn copy_and_not_count(&self, dst: &mut RowSet, b: &RowSet, a: &RowSet) -> usize {
-        match self.team {
-            Some(team) => {
-                b.debug_assert_tail_clear();
-                a.debug_assert_tail_clear();
-                dst.rows = b.rows;
-                dst.words.resize(b.words.len(), 0);
-                kernels::stripes::and_not_count(
-                    self.k,
-                    team,
-                    self.words_per_stripe,
-                    &mut dst.words,
-                    &b.words,
-                    &a.words,
-                ) as usize
-            }
-            None => dst.copy_and_not_count(b, a),
-        }
+        b.debug_assert_tail_clear();
+        a.debug_assert_tail_clear();
+        debug_assert_eq!(b.words.len(), a.words.len());
+        dst.rows = b.rows;
+        dst.words.resize(b.words.len(), 0);
+        let (k, wps, d) = (self.k, self.words_per_stripe, &mut dst.words);
+        (match self.team {
+            Some(team) => kernels::stripes::and_not_count(k, team, wps, d, &b.words, &a.words),
+            None => (k.and_not_count)(d, &b.words, &a.words),
+        }) as usize
     }
 }
 
-/// A lazy-greedy candidate: a feature with its last-evaluated score.
-///
-/// Each score component carries its own stamp — the selection round it
-/// was last computed in. A component is *fresh* when its stamp matches
-/// the current round and *stale* (score = upper bound) otherwise; both
-/// components are monotone non-increasing as picks shrink the live
-/// sets, so stale values stay valid upper bounds. Splitting the stamps
-/// lets a re-evaluation refresh `killed` with a cheap two-stream
-/// `count_and` and leave `cover` stale: the cover tie-break only
-/// matters when the heap's runner-up ties on `killed`, so most rounds
-/// never touch the supporter set at all.
-///
-/// Ordering is the greedy objective: maximize eliminated violators,
-/// then kept supporters, then prefer the lowest feature index — exactly
-/// the eager scan's `min (survivors, MAX - coverage)` with its
-/// first-wins tie-break.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Candidate {
-    /// Violators this feature eliminated when `killed` was last fresh.
-    pub(crate) killed: usize,
-    /// Supporters this feature kept when `cover` was last fresh.
-    pub(crate) cover: usize,
-    /// The feature.
-    pub(crate) feat: usize,
-    /// Round `killed` was computed in.
-    pub(crate) kstamp: usize,
-    /// Round `cover` was computed in.
-    pub(crate) cstamp: usize,
-}
-
-impl Ord for Candidate {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.killed
-            .cmp(&other.killed)
-            .then(self.cover.cmp(&other.cover))
-            .then(other.feat.cmp(&self.feat))
-    }
-}
-
-impl PartialOrd for Candidate {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl PartialEq for Candidate {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl Eq for Candidate {}
-
-/// Reusable per-worker buffers for [`ContextIndex::explain_with`].
-///
-/// A single explanation needs two row bitsets (live violators and
-/// supporters) and a candidate heap. Allocating them per target puts two
-/// heap allocations on every call of the batch loop; a worker instead
-/// owns one `ExplainScratch` and reuses it across its whole batch, so the
-/// steady-state loop allocates nothing but the returned key.
+/// Reusable per-worker buffers for [`ContextIndex::explain_with`]: the
+/// live violator and supporter bitsets and the candidate heap. A worker
+/// that owns one across its batch allocates nothing per target but the
+/// returned key.
 #[derive(Debug, Default, Clone)]
 pub struct ExplainScratch {
     violators: RowSet,
     supporters: RowSet,
-    heap: BinaryHeap<Candidate>,
+    heap: CandidateHeap,
 }
 
 impl ExplainScratch {
@@ -430,6 +301,66 @@ impl ClassIndex {
     /// The round-0 seed table (pagestore export).
     pub(crate) fn seed_ref(&self) -> &[Vec<(usize, usize)>] {
         &self.seed
+    }
+}
+
+/// The in-RAM count source: live violator and supporter bitsets
+/// intersected with postings through an [`Exec`] (direct or striped).
+struct IndexCounts<'a, 't> {
+    idx: &'a ContextIndex,
+    x0: &'a Instance,
+    class: &'a ClassIndex,
+    exec: &'a Exec<'t>,
+    violators: &'a mut RowSet,
+    supporters: &'a mut RowSet,
+    /// Whether the first pick has materialized the live sets.
+    materialized: bool,
+}
+
+impl CountSource for IndexCounts<'_, '_> {
+    type Fault = Infallible;
+
+    fn n_features(&self) -> usize {
+        self.idx.by_value.len()
+    }
+
+    fn start(&mut self) -> Result<(usize, usize), Infallible> {
+        self.materialized = false;
+        let live = self.idx.len();
+        Ok((live, live - self.class.size))
+    }
+
+    fn seed(&self, f: usize) -> (usize, usize) {
+        self.class.seed[f][self.x0[f] as usize]
+    }
+
+    fn surv(&mut self, f: usize) -> Result<usize, Infallible> {
+        let posting = &self.idx.by_value[f][self.x0[f] as usize];
+        Ok(self.exec.count_and(self.violators, posting))
+    }
+
+    fn cover(&mut self, f: usize) -> Result<usize, Infallible> {
+        let posting = &self.idx.by_value[f][self.x0[f] as usize];
+        Ok(self.exec.count_and(self.supporters, posting))
+    }
+
+    fn pick(&mut self, f: usize) -> Result<usize, Infallible> {
+        let posting = &self.idx.by_value[f][self.x0[f] as usize];
+        if self.materialized {
+            self.supporters.and_assign(posting);
+            return Ok(self.exec.and_assign_count(self.violators, posting));
+        }
+        // First pick: materialize the live sets fused with the pick's
+        // intersection — `posting ∩ ¬class` and `posting ∩ class`.
+        self.materialized = true;
+        self.supporters.copy_and_from(posting, &self.class.rows);
+        Ok(self
+            .exec
+            .copy_and_not_count(self.violators, posting, &self.class.rows))
+    }
+
+    fn twin_violators(&self) -> Option<usize> {
+        Some(self.idx.twin_violators(self.x0, self.class.label))
     }
 }
 
@@ -485,7 +416,19 @@ pub struct ContextIndex {
     /// intersection), so a target is unsatisfiable iff it exceeds the
     /// tolerance: an O(1) check replacing `n` futile greedy rounds on
     /// contradiction-heavy rows.
-    twins: HashMap<cce_dataset::Instance, Vec<(Label, u32)>>,
+    twins: HashMap<Instance, Vec<(Label, u32)>>,
+}
+
+/// Counts one more `(x, p)` row in the twin certificate.
+fn add_twin(twins: &mut HashMap<Instance, Vec<(Label, u32)>>, x: &Instance, p: Label) {
+    let entry = match twins.get_mut(x) {
+        Some(e) => e,
+        None => twins.entry(x.clone()).or_default(),
+    };
+    match entry.iter_mut().find(|(l, _)| *l == p) {
+        Some((_, c)) => *c += 1,
+        None => entry.push((p, 1)),
+    }
 }
 
 impl ContextIndex {
@@ -552,17 +495,9 @@ impl ContextIndex {
         // One hash pass tabulates the instance → per-label multiset — the
         // unsatisfiability certificate consulted before any greedy round
         // runs, and the structure insert/remove deltas keep current.
-        let mut twins: HashMap<cce_dataset::Instance, Vec<(Label, u32)>> = HashMap::new();
+        let mut twins = HashMap::new();
         for r in 0..rows {
-            let p = ctx.prediction(r);
-            let entry = match twins.get_mut(ctx.instance(r)) {
-                Some(e) => e,
-                None => twins.entry(ctx.instance(r).clone()).or_default(),
-            };
-            match entry.iter_mut().find(|(l, _)| *l == p) {
-                Some((_, c)) => *c += 1,
-                None => entry.push((p, 1)),
-            }
+            add_twin(&mut twins, ctx.instance(r), ctx.prediction(r));
         }
         let mut live = RowSet::zeros(rows);
         for r in 0..rows {
@@ -607,7 +542,7 @@ impl ContextIndex {
                 slot.1[2 * c + 1] = c1;
             }
             if let [last] = pairs.remainder() {
-                slot.1[classes.len() - 1] = posting.count_and(&last.rows);
+                slot.1[classes.len() - 1] = Exec::direct().count_and(posting, &last.rows);
             }
         };
         let threads = stripes.threads.clamp(1, postings.len().max(1));
@@ -693,14 +628,6 @@ impl ContextIndex {
     /// the steady-state batch path, allocating nothing but the returned
     /// key once the scratch has grown to the context's size.
     ///
-    /// Selection is lazy-greedy (CELF): each round pops candidates off a
-    /// max-heap of last-known `(gain, coverage)` scores, re-evaluating
-    /// only until the top is fresh. Stale scores are valid upper bounds —
-    /// both the violator gain and the supporter coverage of a fixed
-    /// feature are monotone non-increasing as picks shrink the live sets —
-    /// so a fresh top beats every true score below it and the pick equals
-    /// the eager full rescan's, tie-breaks included.
-    ///
     /// # Errors
     /// Same failure modes as [`Srk::explain`].
     ///
@@ -712,16 +639,8 @@ impl ContextIndex {
         alpha: Alpha,
         scratch: &mut ExplainScratch,
     ) -> Result<RelativeKey, ExplainError> {
-        self.check_frozen(ctx, target)?;
-        self.explain_value_core(
-            ctx.instance(target),
-            ctx.prediction(target),
-            alpha,
-            scratch,
-            WorkBudget::unlimited(),
-            &Exec::direct(),
-        )
-        .map(|b| b.key)
+        self.explain_budgeted_with(ctx, target, alpha, WorkBudget::unlimited(), scratch)
+            .map(|b| b.key)
     }
 
     /// [`ContextIndex::explain_with`] with the kernel passes of one
@@ -761,17 +680,7 @@ impl ContextIndex {
 
     /// Budget-guarded indexed explanation: byte-identical results *and*
     /// degradation behavior to [`Srk::explain_budgeted`], at indexed
-    /// speed.
-    ///
-    /// The budget is accounted in **eager-scan units** — each greedy
-    /// round charges `unpicked features × live violators`, exactly what
-    /// the reference scan would spend — so whether a call completes or
-    /// degrades (and the reported `spent`) is independent of which
-    /// execution path served it, even though the lazy-greedy path does
-    /// far less actual work. The unsatisfiability certificate is *not*
-    /// consulted under a finite budget: the reference semantics degrade
-    /// mid-way through doomed targets when the budget runs out first,
-    /// and this path must agree.
+    /// speed (the budget is in eager-scan units; see [`crate::greedy`]).
     ///
     /// # Errors
     /// Same failure modes as [`Srk::explain_budgeted`]; running out of
@@ -787,14 +696,8 @@ impl ContextIndex {
         scratch: &mut ExplainScratch,
     ) -> Result<BudgetedKey, ExplainError> {
         self.check_frozen(ctx, target)?;
-        self.explain_value_core(
-            ctx.instance(target),
-            ctx.prediction(target),
-            alpha,
-            scratch,
-            budget,
-            &Exec::direct(),
-        )
+        let (x0, p0) = (ctx.instance(target), ctx.prediction(target));
+        self.explain_value(x0, p0, alpha, budget, scratch, None)
     }
 
     /// Validates a context-addressed explain: the row-index entry points
@@ -815,7 +718,7 @@ impl ContextIndex {
     /// The certificate lookup: live rows carrying the target's exact
     /// instance under a *different* label — the violators no feature set
     /// can eliminate.
-    pub(crate) fn twin_violators(&self, x0: &cce_dataset::Instance, p0: Label) -> usize {
+    pub(crate) fn twin_violators(&self, x0: &Instance, p0: Label) -> usize {
         self.twins.get(x0).map_or(0, |entry| {
             entry
                 .iter()
@@ -824,58 +727,20 @@ impl ContextIndex {
         })
     }
 
-    /// Value-addressed explain dispatcher: routes to the striped
-    /// execution when unbudgeted and `stripes` engages for this universe
-    /// width, the direct path otherwise — the churn owners' entry point
-    /// ([`crate::BatchEngine`], [`crate::SlidingWindow`]).
+    /// Value-addressed explain, the churn owners' entry point: the driver
+    /// consults only `(x₀, p₀)`, so patched and rebuilt indexes agree byte
+    /// for byte. Unbudgeted explains stripe when `stripes` engages; an
+    /// unindexed `p₀` is [`ExplainError::UnknownInstance`].
     pub(crate) fn explain_value(
         &self,
-        x0: &cce_dataset::Instance,
+        x0: &Instance,
         p0: Label,
         alpha: Alpha,
         budget: WorkBudget,
         scratch: &mut ExplainScratch,
         stripes: Option<&StripeConfig>,
     ) -> Result<BudgetedKey, ExplainError> {
-        if budget == WorkBudget::unlimited() {
-            if let Some(s) = stripes {
-                if s.engages(self.slots.div_ceil(64)) {
-                    cce_obs::counter!("cce_stripe_explains_total").inc();
-                    return kernels::with_team(s.threads, |team| {
-                        let exec = Exec {
-                            k: kernels::active(),
-                            team,
-                            words_per_stripe: s.words_per_stripe.max(1),
-                        };
-                        self.explain_value_core(x0, p0, alpha, scratch, budget, &exec)
-                    });
-                }
-            }
-        }
-        self.explain_value_core(x0, p0, alpha, scratch, budget, &Exec::direct())
-    }
-
-    /// The one lazy-greedy loop behind every indexed entry point;
-    /// `budget` and `exec` select the budgeted / striped variants. The
-    /// target is addressed **by value** — everything the greedy loop
-    /// consults (tolerance, seeds, postings, certificate) depends on the
-    /// target only through `(x₀, p₀)`, which is also why patched and
-    /// rebuilt indexes agree byte for byte.
-    ///
-    /// `p₀`'s class must be indexed (callers explaining an out-of-context
-    /// pair insert it first); an unindexed label reports
-    /// [`ExplainError::UnknownInstance`].
-    fn explain_value_core(
-        &self,
-        x0: &cce_dataset::Instance,
-        p0: Label,
-        alpha: Alpha,
-        scratch: &mut ExplainScratch,
-        budget: WorkBudget,
-        exec: &Exec<'_>,
-    ) -> Result<BudgetedKey, ExplainError> {
-        let live = self.slots - self.dead;
-        if live == 0 {
+        if self.is_empty() {
             return Err(ExplainError::EmptyContext);
         }
         let n = self.by_value.len();
@@ -885,247 +750,43 @@ impl ContextIndex {
                 got: x0.len(),
             });
         }
-        let tolerance = alpha.tolerance(live);
-        let budgeted = budget != WorkBudget::unlimited();
-
         let Some(class) = self.classes.iter().find(|c| c.label == p0) else {
             return Err(ExplainError::UnknownInstance);
         };
-        // Violators of the empty key: every live row of a different class.
-        let mut live_violators = live - class.size;
-
-        // Unsatisfiable targets fail identically after `n` futile rounds:
-        // the violators surviving a full intersection are the target's
-        // differently-predicted exact twins, regardless of pick order.
-        // Certify the failure up front instead of scanning toward it —
-        // but only with an unlimited budget: a finite budget may run out
-        // before the reference scan reaches the error, and the budgeted
-        // contract is to degrade exactly where the reference would.
-        if !budgeted && live_violators > tolerance {
-            let contradictions = self.twin_violators(x0, p0);
-            if contradictions > tolerance {
-                cce_obs::counter!("cce_explain_errors_total", "kind" => "no_conformant_key").inc();
-                return Err(ExplainError::NoConformantKey {
-                    contradictions,
-                    tolerance,
-                });
-            }
-        }
-
-        let mut picked = Vec::new();
-        // Locally accumulated, flushed in one atomic add on success.
-        let mut evaluated: u64 = 0;
-        let mut eager_scans: u64 = 0;
-        // Budget accounting in eager-scan units (see the method docs).
-        let mut accounted: u64 = 0;
-        while live_violators > tolerance {
-            if picked.len() == n {
-                cce_obs::counter!("cce_explain_errors_total", "kind" => "no_conformant_key").inc();
-                return Err(ExplainError::NoConformantKey {
-                    contradictions: live_violators,
-                    tolerance,
-                });
-            }
-            if budgeted && accounted >= budget.max_scans {
-                cce_obs::counter!("cce_explain_degraded_total").inc();
-                cce_obs::counter!("cce_explain_violator_scans_total", "algo" => "indexed")
-                    .add(evaluated);
-                let achieved = 1.0 - live_violators as f64 / live as f64;
-                return Ok(BudgetedKey {
-                    key: RelativeKey::new(picked, alpha, achieved),
-                    status: ExplainStatus::Degraded {
-                        spent: accounted,
-                        remaining_violators: live_violators,
-                    },
-                });
-            }
-            eager_scans += (n - picked.len()) as u64;
-            accounted += ((n - picked.len()) * live_violators) as u64;
-            let round = picked.len();
-            let best_feat = if round == 0 {
-                // Round 0 from the seed table: a linear argmax over
-                // precomputed scores, zero bitset passes, and no heap —
-                // one-feature keys never touch the scratch buffers.
-                let mut best = Candidate {
-                    killed: 0,
-                    cover: 0,
-                    feat: usize::MAX,
-                    kstamp: 0,
-                    cstamp: 0,
-                };
-                for (f, seeds) in class.seed.iter().enumerate() {
-                    let (surv0, cover0) = seeds[x0[f] as usize];
-                    let cand = Candidate {
-                        killed: live_violators - surv0,
-                        cover: cover0,
-                        feat: f,
-                        kstamp: 0,
-                        cstamp: 0,
-                    };
-                    if best.feat == usize::MAX || cand > best {
-                        best = cand;
-                    }
-                }
-                best.feat
-            } else {
-                if round == 1 {
-                    // A second round is actually needed: build the heap
-                    // now. The stamp-0 seed scores are stale but remain
-                    // valid upper bounds (both components are monotone
-                    // non-increasing as picks shrink the live sets).
-                    scratch.heap.clear();
-                    for (f, seeds) in class.seed.iter().enumerate() {
-                        if f == picked[0] {
-                            continue;
-                        }
-                        let (surv0, cover0) = seeds[x0[f] as usize];
-                        scratch.heap.push(Candidate {
-                            killed: (live - class.size) - surv0,
-                            cover: cover0,
-                            feat: f,
-                            kstamp: 0,
-                            cstamp: 0,
-                        });
-                    }
-                }
-                loop {
-                    let mut top = scratch.heap.pop().expect("unpicked candidates remain");
-                    let posting = &self.by_value[top.feat][x0[top.feat] as usize];
-                    if top.kstamp < round {
-                        // Refresh the primary component only; the stale
-                        // cover stays a valid upper bound for ordering.
-                        let surv = exec.count_and(&scratch.violators, posting);
-                        evaluated += 1;
-                        top.killed = live_violators - surv;
-                        top.kstamp = round;
-                        scratch.heap.push(top);
-                        continue;
-                    }
-                    // Fresh `killed`: the top dominates every true killed
-                    // count below it. The cover tie-break can only change
-                    // the pick if the runner-up's killed *upper bound*
-                    // ties — otherwise every other true score already
-                    // loses on the first component.
-                    let tie = scratch
-                        .heap
-                        .peek()
-                        .is_some_and(|next| next.killed == top.killed);
-                    if top.cstamp == round || !tie {
-                        // A fresh (killed, cover) top beats every stale
-                        // upper bound below it, hence every true score —
-                        // including the first-wins feature tie-break (an
-                        // equal-tuple rival with a lower index would have
-                        // popped first).
-                        break top.feat;
-                    }
-                    top.cover = exec.count_and(&scratch.supporters, posting);
-                    top.cstamp = round;
-                    scratch.heap.push(top);
-                }
+        let ExplainScratch {
+            violators,
+            supporters,
+            heap,
+        } = scratch;
+        let mut explain = |exec: &Exec<'_>| {
+            let mut src = IndexCounts {
+                idx: self,
+                x0,
+                class,
+                exec,
+                violators,
+                supporters,
+                materialized: false,
             };
-            picked.push(best_feat);
-            let posting = &self.by_value[best_feat][x0[best_feat] as usize];
-            if round == 0 {
-                // First pick: materialize the live sets fused with the
-                // pick's intersection — `posting ∩ ¬class` and
-                // `posting ∩ class` in one pass each.
-                live_violators =
-                    exec.copy_and_not_count(&mut scratch.violators, posting, &class.rows);
-                scratch.supporters.copy_and_from(posting, &class.rows);
-            } else {
-                live_violators = exec.and_assign_count(&mut scratch.violators, posting);
-                scratch.supporters.and_assign(posting);
+            let Ok(run) = greedy::run(&mut src, alpha, budget, heap);
+            run
+        };
+        let unlimited = budget == WorkBudget::unlimited();
+        let run = match stripes.filter(|s| unlimited && s.engages(self.slots.div_ceil(64))) {
+            None => explain(&Exec::direct()),
+            Some(s) => {
+                cce_obs::counter!("cce_stripe_explains_total").inc();
+                kernels::with_team(s.threads, |team| {
+                    explain(&Exec {
+                        k: kernels::active(),
+                        team,
+                        words_per_stripe: s.words_per_stripe.max(1),
+                    })
+                })
             }
-        }
-        cce_obs::counter!("cce_explain_keys_total", "algo" => "indexed").inc();
-        cce_obs::histogram!("cce_explain_key_length", "algo" => "indexed")
-            .record(picked.len() as u64);
-        cce_obs::counter!("cce_explain_violator_scans_total", "algo" => "indexed").add(evaluated);
-        // Skips = evaluations the eager rescan would have done but the
-        // seed table (all of round 0) or the heap proved unnecessary.
-        // Later rounds re-evaluate each candidate at most once, so the
-        // subtraction cannot underflow.
-        cce_obs::counter!("cce_lazy_greedy_skips_total").add(eager_scans - evaluated);
-        let achieved = 1.0 - live_violators as f64 / live as f64;
-        Ok(BudgetedKey {
-            key: RelativeKey::new(picked, alpha, achieved),
-            status: ExplainStatus::Complete,
-        })
-    }
-
-    /// The pre-CELF eager scan: every round re-evaluates every unpicked
-    /// feature. Identical output to [`ContextIndex::explain`]; kept as
-    /// the differential-testing reference and the `BENCH_batch.json`
-    /// "before" baseline.
-    ///
-    /// # Errors
-    /// Same failure modes as [`Srk::explain`].
-    ///
-    /// [`Srk::explain`]: crate::Srk::explain
-    pub fn explain_eager(
-        &self,
-        ctx: &Context,
-        target: usize,
-        alpha: Alpha,
-    ) -> Result<RelativeKey, ExplainError> {
-        self.check_frozen(ctx, target)?;
-        let n = ctx.schema().n_features();
-        let tolerance = alpha.tolerance(self.slots);
-        let x0 = ctx.instance(target);
-        let p0 = ctx.prediction(target);
-
-        let same_class = &self
-            .classes
-            .iter()
-            .find(|c| c.label == p0)
-            .expect("target's class is indexed")
-            .rows;
-        let mut violators = same_class.not();
-        let mut supporters = same_class.clone();
-
-        let mut picked = Vec::new();
-        let mut in_key = vec![false; n];
-        let mut scanned: u64 = 0;
-        while violators.count() > tolerance {
-            if picked.len() == n {
-                cce_obs::counter!("cce_explain_errors_total", "kind" => "no_conformant_key").inc();
-                return Err(ExplainError::NoConformantKey {
-                    contradictions: violators.count(),
-                    tolerance,
-                });
-            }
-            let mut best_feat = usize::MAX;
-            let mut best = (usize::MAX, usize::MAX);
-            for f in 0..n {
-                if in_key[f] {
-                    continue;
-                }
-                let posting = &self.by_value[f][x0[f] as usize];
-                scanned += 1;
-                let surv = violators.count_and(posting);
-                if surv > best.0 {
-                    continue;
-                }
-                let cover = supporters.count_and(posting);
-                let cand = (surv, usize::MAX - cover);
-                if cand < best {
-                    best = cand;
-                    best_feat = f;
-                }
-            }
-            in_key[best_feat] = true;
-            picked.push(best_feat);
-            let posting = &self.by_value[best_feat][x0[best_feat] as usize];
-            violators.and_assign(posting);
-            supporters.and_assign(posting);
-        }
-        cce_obs::counter!("cce_explain_keys_total", "algo" => "indexed_eager").inc();
-        cce_obs::histogram!("cce_explain_key_length", "algo" => "indexed_eager")
-            .record(picked.len() as u64);
-        cce_obs::counter!("cce_explain_violator_scans_total", "algo" => "indexed_eager")
-            .add(scanned);
-        let achieved = 1.0 - violators.count() as f64 / self.slots as f64;
-        Ok(RelativeKey::new(picked, alpha, achieved))
+        };
+        record_run!("indexed", &run);
+        run.result
     }
 
     /// Inserts one live row, returning its (fresh, generational) slot id.
@@ -1221,14 +882,7 @@ impl ContextIndex {
                 }
             }
         }
-        let entry = match self.twins.get_mut(x) {
-            Some(e) => e,
-            None => self.twins.entry(x.clone()).or_default(),
-        };
-        match entry.iter_mut().find(|(l, _)| *l == p) {
-            Some((_, c)) => *c += 1,
-            None => entry.push((p, 1)),
-        }
+        add_twin(&mut self.twins, x, p);
         cce_obs::counter!("cce_index_deltas_total", "op" => "insert").inc();
         Ok(slot)
     }
@@ -1318,6 +972,16 @@ mod tests {
     use crate::srk::Srk;
     use cce_dataset::{synth, BinSpec};
 
+    /// Complement within the first `rows` rows, tail masked.
+    fn not(s: &RowSet) -> RowSet {
+        let mut out = RowSet {
+            words: s.words.iter().map(|w| !w).collect(),
+            rows: s.rows,
+        };
+        out.mask_tail();
+        out
+    }
+
     fn contexts() -> Vec<Context> {
         ["Loan", "Compas"]
             .iter()
@@ -1340,11 +1004,6 @@ mod tests {
                     let expected = srk.explain(&ctx, t);
                     assert_eq!(idx.explain(&ctx, t, alpha), expected, "α={a} target={t}");
                     assert_eq!(
-                        idx.explain_eager(&ctx, t, alpha),
-                        expected,
-                        "eager α={a} target={t}"
-                    );
-                    assert_eq!(
                         idx.explain_with(&ctx, t, alpha, &mut scratch),
                         expected,
                         "scratch-reuse α={a} target={t}"
@@ -1356,9 +1015,9 @@ mod tests {
 
     #[test]
     fn budgeted_indexed_matches_srk_budgeted_exactly() {
-        // The indexed budgeted path must agree with the reference on
-        // completion, degradation point, spent scans, and partial keys —
-        // across budgets bracketing round boundaries.
+        // The indexed budgeted path must agree with the budgeted oracle
+        // on completion, degradation point, spent scans, and partial keys
+        // — across budgets bracketing round boundaries.
         for ctx in contexts() {
             let idx = ContextIndex::new(&ctx);
             let mut scratch = ExplainScratch::new();
@@ -1370,7 +1029,7 @@ mod tests {
                         let b = WorkBudget::new(budget);
                         assert_eq!(
                             idx.explain_budgeted_with(&ctx, t, alpha, b, &mut scratch),
-                            srk.explain_budgeted(&ctx, t, b),
+                            srk.explain_naive_budgeted(&ctx, t, b),
                             "α={a} target={t} budget={budget}"
                         );
                     }
@@ -1414,9 +1073,9 @@ mod tests {
             if rows > 2 {
                 s.set(rows - 1);
             }
-            let c = s.not();
+            let c = not(&s);
             assert_eq!(s.count() + c.count(), rows, "rows={rows}");
-            assert_eq!(s.count_and(&c), 0);
+            assert_eq!(Exec::direct().count_and(&s, &c), 0);
         }
     }
 
@@ -1437,8 +1096,8 @@ mod tests {
                 }
             }
             let mut fused = RowSet::default();
-            let live = fused.copy_and_not_count(&posting, &class);
-            let mut expected = class.not();
+            let live = Exec::direct().copy_and_not_count(&mut fused, &posting, &class);
+            let mut expected = not(&class);
             expected.and_assign(&posting);
             assert_eq!(fused, expected, "rows={rows}");
             assert_eq!(live, expected.count(), "rows={rows}");
@@ -1469,8 +1128,8 @@ mod tests {
                 }
             }
             let (ca, cb) = p.count_and2(&a, &b);
-            assert_eq!(ca, p.count_and(&a), "rows={rows}");
-            assert_eq!(cb, p.count_and(&b), "rows={rows}");
+            assert_eq!(ca, Exec::direct().count_and(&p, &a), "rows={rows}");
+            assert_eq!(cb, Exec::direct().count_and(&p, &b), "rows={rows}");
         }
     }
 
@@ -1487,8 +1146,12 @@ mod tests {
                     b.set(r);
                 }
             }
-            let expected = a.count_and(&b);
-            assert_eq!(a.and_assign_count(&b), expected, "rows={rows}");
+            let expected = Exec::direct().count_and(&a, &b);
+            assert_eq!(
+                Exec::direct().and_assign_count(&mut a, &b),
+                expected,
+                "rows={rows}"
+            );
             assert_eq!(a.count(), expected);
         }
     }
@@ -1552,7 +1215,7 @@ mod tests {
         let srk = Srk::new(Alpha::ONE);
         let expected = srk.explain(&with_twin, 0);
         assert_eq!(idx.explain(&with_twin, 0, Alpha::ONE), expected);
-        assert_eq!(idx.explain_eager(&with_twin, 0, Alpha::ONE), expected);
+        assert_eq!(srk.explain_naive(&with_twin, 0), expected);
     }
 
     /// Explains every live row of `idx` by value and asserts byte

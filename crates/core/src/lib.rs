@@ -10,7 +10,8 @@
 //!   whose rule-based explanation semantics holds over at least an
 //!   α-fraction of the context.
 //! * [`Srk`] — the greedy batch algorithm (Algorithm 1): polynomial time,
-//!   and its output is provably `ln(α·|I|)`-bounded (Lemma 3).
+//!   and its output is provably `ln(α·|I|)`-bounded (Lemma 3); every
+//!   explain path runs it through the one driver in [`greedy`].
 //! * [`OsrkMonitor`] — the randomized online monitor (Algorithm 2):
 //!   maintains a coherent (`Eₜ ⊆ Eₜ₊₁`) α-conformant key as instances
 //!   stream in, in `O(n log n)` per arrival, `(log t · log n)`-competitive.
@@ -50,6 +51,7 @@ pub mod cce;
 pub mod context;
 pub mod engine;
 pub mod error;
+pub mod greedy;
 pub mod importance;
 pub mod index;
 pub mod kernels;

@@ -1,27 +1,19 @@
-//! Out-of-core explains: the lazy-greedy loop of
-//! [`ContextIndex`](crate::ContextIndex), executed over paged columns
-//! faulted in on demand.
+//! Out-of-core explains: the one lazy-greedy driver
+//! ([`crate::greedy`]) over paged columns faulted in on demand.
 //!
 //! # Byte-identity argument
 //!
-//! Every quantity the greedy loop consults is reproduced exactly:
+//! Every count the driver consults is reproduced exactly:
 //!
 //! * **Round 0** reads the directory's seed table — the same
 //!   `(surv₀, cover₀)` values the in-RAM index precomputed (the writer
 //!   copies them verbatim).
-//! * **Later rounds** run the same heap with the same
-//!   [`Candidate`] ordering and staleness stamps; the only difference
-//!   is that `count_and` / `and_assign_count` / `and_not_count` stream
-//!   the posting column page by page, summing per-page kernel counts.
-//!   Addition over disjoint word ranges is exact, so every refreshed
-//!   score equals its in-RAM counterpart, hence every pick matches.
-//! * **The unsatisfiable case** reads the per-row twin certificate
-//!   stored in the target's row record — the same `contradictions`
-//!   count the in-RAM twins table serves — and fails up front with
-//!   zero bitset passes. Value-addressed explains (no stored row) fall
-//!   back to exhaustion: after intersecting all `n` postings, the
-//!   surviving violators are exactly the differently-labeled twins, so
-//!   the error is identical either way.
+//! * **Later rounds** stream the posting column page by page, summing
+//!   per-page kernel counts. Addition over disjoint word ranges is
+//!   exact, so every score equals its in-RAM counterpart.
+//! * **The unsatisfiable case** reads the twin certificate stored in
+//!   the target's row record. Value-addressed explains (no stored row)
+//!   fall back to exhaustion, which yields the same error.
 //!
 //! `tests/pagestore_diff.rs` holds the differential proptests that pin
 //! this equivalence across row counts straddling word boundaries, page
@@ -34,17 +26,17 @@
 //! loop never consumes unverified bits, so a corrupt store yields an
 //! error, never a silently wrong key.
 
-use std::collections::BinaryHeap;
+use std::ops::Range;
 
 use cce_dataset::{Instance, Label};
 
 use crate::alpha::Alpha;
 use crate::error::ExplainError;
-use crate::index::Candidate;
+use crate::greedy::{self, record_run, CandidateHeap, CountSource};
 use crate::kernels;
 use crate::key::RelativeKey;
 use crate::persist::{PersistError, Vfs};
-use crate::srk::{BudgetedKey, ExplainStatus, WorkBudget};
+use crate::srk::{BudgetedKey, WorkBudget};
 
 use super::cache::{CacheStats, PageData};
 use super::format::PageStore;
@@ -64,13 +56,16 @@ fn words_of(page: &PageData) -> Result<&[u64], PersistError> {
     }
 }
 
-/// `|scratch ∩ col|`, streamed page by page.
-fn col_count_and<V: Vfs>(
+/// Streams column `col` page by page, summing `visit` over the pages:
+/// it gets the scratch word range, the page's live words, and the page
+/// of column `with` (else empty), pinned alongside so a single-page
+/// cache cannot evict one to admit the other.
+fn walk<V: Vfs>(
     store: &mut PageStore<V>,
-    scratch: &[u64],
     col: usize,
-) -> Result<u64, PersistError> {
-    let k = kernels::active();
+    with: Option<usize>,
+    mut visit: impl FnMut(Range<usize>, &[u64], &[u64]) -> u64,
+) -> Result<usize, PersistError> {
     let (pages, wpp) = (
         store.geometry().pages_per_col,
         store.geometry().words_per_page,
@@ -79,106 +74,95 @@ fn col_count_and<V: Vfs>(
     for pk in 0..pages {
         let live = store.geometry().page_words(pk);
         let page = store.page(store.geometry().col_page(col, pk))?;
-        let words = words_of(&page)?;
-        total += (k.count_and)(&scratch[pk * wpp..pk * wpp + live], &words[..live]);
+        let with = with.map(|w| store.page(store.geometry().col_page(w, pk)));
+        let with = with.transpose()?;
+        let other = match &with {
+            Some(p) => &words_of(p)?[..live],
+            None => &[],
+        };
+        total += visit(pk * wpp..pk * wpp + live, &words_of(&page)?[..live], other);
     }
-    Ok(total)
+    Ok(total as usize)
 }
 
-/// `scratch ∩= col`, returning the new cardinality.
-fn col_and_assign_count<V: Vfs>(
-    store: &mut PageStore<V>,
-    scratch: &mut [u64],
-    col: usize,
-) -> Result<u64, PersistError> {
-    let k = kernels::active();
-    let (pages, wpp) = (
-        store.geometry().pages_per_col,
-        store.geometry().words_per_page,
-    );
-    let mut total = 0u64;
-    for pk in 0..pages {
-        let live = store.geometry().page_words(pk);
-        let page = store.page(store.geometry().col_page(col, pk))?;
-        let words = words_of(&page)?;
-        total += (k.and_assign_count)(&mut scratch[pk * wpp..pk * wpp + live], &words[..live]);
-    }
-    Ok(total)
+/// The paged count source: the live sets are full-width scratch words,
+/// intersected with posting columns streamed through the page cache.
+struct PagedCounts<'a, V: Vfs> {
+    store: &'a mut PageStore<V>,
+    violators: &'a mut [u64],
+    supporters: &'a mut [u64],
+    /// Posting column per feature, fixed by the target's values.
+    posting_col: Vec<usize>,
+    /// The target's slice of the directory's seed table.
+    seeds: Vec<(usize, usize)>,
+    class_col: usize,
+    class_size: usize,
+    twin_certificate: Option<usize>,
+    /// Whether the first pick has materialized the live sets.
+    materialized: bool,
 }
 
-/// `scratch ∩= col`, count not needed (the supporter set).
-fn col_and_assign<V: Vfs>(
-    store: &mut PageStore<V>,
-    scratch: &mut [u64],
-    col: usize,
-) -> Result<(), PersistError> {
-    let wpp = store.geometry().words_per_page;
-    for pk in 0..store.geometry().pages_per_col {
-        let live = store.geometry().page_words(pk);
-        let page = store.page(store.geometry().col_page(col, pk))?;
-        let words = words_of(&page)?;
-        for (dst, src) in scratch[pk * wpp..pk * wpp + live]
-            .iter_mut()
-            .zip(&words[..live])
-        {
-            *dst &= src;
-        }
-    }
-    Ok(())
-}
+impl<V: Vfs> CountSource for PagedCounts<'_, V> {
+    type Fault = PersistError;
 
-/// `scratch = b ∩ ¬a`, returning the cardinality — the fused
-/// first-pick violator materialization (`posting ∩ ¬class`).
-fn col_copy_and_not_count<V: Vfs>(
-    store: &mut PageStore<V>,
-    scratch: &mut [u64],
-    b_col: usize,
-    a_col: usize,
-) -> Result<u64, PersistError> {
-    let k = kernels::active();
-    let (pages, wpp) = (
-        store.geometry().pages_per_col,
-        store.geometry().words_per_page,
-    );
-    let mut total = 0u64;
-    for pk in 0..pages {
-        let live = store.geometry().page_words(pk);
-        // Both pages pinned at once: the cache must not evict `b` to
-        // admit `a`, even on a single-page budget (pin-aware eviction).
-        let b = store.page(store.geometry().col_page(b_col, pk))?;
-        let a = store.page(store.geometry().col_page(a_col, pk))?;
-        let (b, a) = (words_of(&b)?, words_of(&a)?);
-        total += (k.and_not_count)(
-            &mut scratch[pk * wpp..pk * wpp + live],
-            &b[..live],
-            &a[..live],
+    fn n_features(&self) -> usize {
+        self.posting_col.len()
+    }
+
+    fn start(&mut self) -> Result<(usize, usize), PersistError> {
+        self.materialized = false;
+        let rows = self.store.rows();
+        Ok((rows, rows - self.class_size))
+    }
+
+    fn seed(&self, f: usize) -> (usize, usize) {
+        self.seeds[f]
+    }
+
+    fn surv(&mut self, f: usize) -> Result<usize, PersistError> {
+        let (k, live) = (kernels::active(), &*self.violators);
+        walk(self.store, self.posting_col[f], None, |r, p, _| {
+            (k.count_and)(&live[r], p)
+        })
+    }
+
+    fn cover(&mut self, f: usize) -> Result<usize, PersistError> {
+        let (k, live) = (kernels::active(), &*self.supporters);
+        walk(self.store, self.posting_col[f], None, |r, p, _| {
+            (k.count_and)(&live[r], p)
+        })
+    }
+
+    fn pick(&mut self, f: usize) -> Result<usize, PersistError> {
+        let (k, viol, sup) = (
+            kernels::active(),
+            &mut *self.violators,
+            &mut *self.supporters,
         );
-    }
-    Ok(total)
-}
-
-/// `scratch = a ∩ b` (the supporter set's first-pick materialization).
-fn col_copy_and<V: Vfs>(
-    store: &mut PageStore<V>,
-    scratch: &mut [u64],
-    a_col: usize,
-    b_col: usize,
-) -> Result<(), PersistError> {
-    let wpp = store.geometry().words_per_page;
-    for pk in 0..store.geometry().pages_per_col {
-        let live = store.geometry().page_words(pk);
-        let pa = store.page(store.geometry().col_page(a_col, pk))?;
-        let pb = store.page(store.geometry().col_page(b_col, pk))?;
-        let (a, b) = (words_of(&pa)?, words_of(&pb)?);
-        for ((dst, x), y) in scratch[pk * wpp..pk * wpp + live]
-            .iter_mut()
-            .zip(&a[..live])
-            .zip(&b[..live])
-        {
-            *dst = x & y;
+        let col = self.posting_col[f];
+        if self.materialized {
+            return walk(self.store, col, None, |r, p, _| {
+                for (d, s) in sup[r.clone()].iter_mut().zip(p) {
+                    *d &= s;
+                }
+                (k.and_assign_count)(&mut viol[r], p)
+            });
         }
+        // First pick: materialize both live sets fused with the pick's
+        // intersection — `posting ∩ ¬class` and `posting ∩ class` — from
+        // one pinned pair of pages.
+        self.materialized = true;
+        walk(self.store, col, Some(self.class_col), |r, p, c| {
+            for ((d, x), y) in sup[r.clone()].iter_mut().zip(p).zip(c) {
+                *d = x & y;
+            }
+            (k.and_not_count)(&mut viol[r], p, c)
+        })
     }
-    Ok(())
+
+    fn twin_violators(&self) -> Option<usize> {
+        self.twin_certificate
+    }
 }
 
 /// An out-of-core [`ContextIndex`](crate::ContextIndex): answers the
@@ -191,7 +175,7 @@ pub struct PagedContextIndex<V: Vfs> {
     /// path keeps resident (2 × ⌈rows/64⌉ words).
     violators: Vec<u64>,
     supporters: Vec<u64>,
-    heap: BinaryHeap<Candidate>,
+    heap: CandidateHeap,
 }
 
 impl<V: Vfs> PagedContextIndex<V> {
@@ -202,7 +186,7 @@ impl<V: Vfs> PagedContextIndex<V> {
             store,
             violators: vec![0; words],
             supporters: vec![0; words],
-            heap: BinaryHeap::new(),
+            heap: CandidateHeap::default(),
         }
     }
 
@@ -277,8 +261,8 @@ impl<V: Vfs> PagedContextIndex<V> {
         self.explain_value_core(&x0, p0, alpha, budget, Some(twins as usize))
     }
 
-    /// Value-addressed explain: the paged lazy-greedy loop. Addressing
-    /// is by `(x₀, p₀)` exactly as in the in-RAM core, so row-addressed
+    /// Value-addressed explain over the paged columns. Addressing is by
+    /// `(x₀, p₀)` exactly as in the in-RAM index, so row-addressed
     /// and value-addressed paged explains agree with their in-RAM
     /// counterparts byte for byte.
     ///
@@ -293,13 +277,14 @@ impl<V: Vfs> PagedContextIndex<V> {
         alpha: Alpha,
         budget: WorkBudget,
     ) -> Result<BudgetedKey, ExplainError> {
-        // An arbitrary (x₀, p₀) has no stored certificate; the loop
-        // discovers unsatisfiability by exhaustion instead (see below).
+        // No stored certificate: the driver finds unsatisfiability by
+        // exhaustion, with the same error.
         self.explain_value_core(x0, p0, alpha, budget, None)
     }
 
-    /// The paged greedy loop; `twin_certificate` is row `target`'s
-    /// stored contradiction count when the caller is row-addressed.
+    /// Validates a value-addressed target and runs the greedy driver over
+    /// the paged columns; `twin_certificate` is row `target`'s stored
+    /// contradiction count when the caller is row-addressed.
     fn explain_value_core(
         &mut self,
         x0: &Instance,
@@ -329,161 +314,31 @@ impl<V: Vfs> PagedContextIndex<V> {
                 });
             }
         }
-        let tolerance = alpha.tolerance(live);
-        let budgeted = budget != WorkBudget::unlimited();
-
         let dir = self.store.directory();
         let Some(ci) = dir.classes.iter().position(|c| c.label == p0) else {
             return Err(ExplainError::UnknownInstance);
         };
+        // Owned copies, so no directory borrow outlives the faulting
+        // source below.
         let class_size = dir.classes[ci].size;
-        let class_col = geom.class_col(ci);
-        // Posting column per feature, fixed by the target's values, and
-        // the target's slice of the seed table — owned copies, so no
-        // directory borrow outlives the faulting loop below.
-        let posting_col: Vec<usize> = (0..n).map(|f| geom.value_col(f, x0[f] as usize)).collect();
-        let seeds0: Vec<(usize, usize)> = (0..n)
+        let seeds = (0..n)
             .map(|f| dir.classes[ci].seed[f][x0[f] as usize])
             .collect();
-        let mut live_violators = live - class_size;
-
-        // Row-addressed explains carry the stored twin certificate:
-        // fail doomed targets up front exactly like the in-RAM path
-        // (same error, same counts), with zero bitset passes. Only with
-        // an unlimited budget — a finite budget must degrade where the
-        // reference scan would, which may be before the error.
-        if budget == WorkBudget::unlimited() && live_violators > tolerance {
-            if let Some(contradictions) = twin_certificate {
-                if contradictions > tolerance {
-                    cce_obs::counter!("cce_explain_errors_total", "kind" => "no_conformant_key")
-                        .inc();
-                    return Err(ExplainError::NoConformantKey {
-                        contradictions,
-                        tolerance,
-                    });
-                }
-            }
-        }
-
-        // Value-addressed explains have no stored certificate: the loop
-        // discovers the same `contradictions` count when it exhausts
-        // all `n` features — the violators surviving the full
-        // intersection *are* the differently-labeled exact twins.
-        let mut picked = Vec::new();
-        let mut evaluated: u64 = 0;
-        let mut eager_scans: u64 = 0;
-        let mut accounted: u64 = 0;
-        while live_violators > tolerance {
-            if picked.len() == n {
-                cce_obs::counter!("cce_explain_errors_total", "kind" => "no_conformant_key").inc();
-                return Err(ExplainError::NoConformantKey {
-                    contradictions: live_violators,
-                    tolerance,
-                });
-            }
-            if budgeted && accounted >= budget.max_scans {
-                cce_obs::counter!("cce_explain_degraded_total").inc();
-                cce_obs::counter!("cce_explain_violator_scans_total", "algo" => "paged")
-                    .add(evaluated);
-                let achieved = 1.0 - live_violators as f64 / live as f64;
-                return Ok(BudgetedKey {
-                    key: RelativeKey::new(picked, alpha, achieved),
-                    status: ExplainStatus::Degraded {
-                        spent: accounted,
-                        remaining_violators: live_violators,
-                    },
-                });
-            }
-            eager_scans += (n - picked.len()) as u64;
-            accounted += ((n - picked.len()) * live_violators) as u64;
-            let round = picked.len();
-            let best_feat = if round == 0 {
-                // Round 0 from the directory's seed table: zero faults.
-                let mut best = Candidate {
-                    killed: 0,
-                    cover: 0,
-                    feat: usize::MAX,
-                    kstamp: 0,
-                    cstamp: 0,
-                };
-                for (f, &(surv0, cover0)) in seeds0.iter().enumerate() {
-                    let cand = Candidate {
-                        killed: live_violators - surv0,
-                        cover: cover0,
-                        feat: f,
-                        kstamp: 0,
-                        cstamp: 0,
-                    };
-                    if best.feat == usize::MAX || cand > best {
-                        best = cand;
-                    }
-                }
-                best.feat
-            } else {
-                if round == 1 {
-                    self.heap.clear();
-                    for (f, &(surv0, cover0)) in seeds0.iter().enumerate() {
-                        if f == picked[0] {
-                            continue;
-                        }
-                        self.heap.push(Candidate {
-                            killed: (live - class_size) - surv0,
-                            cover: cover0,
-                            feat: f,
-                            kstamp: 0,
-                            cstamp: 0,
-                        });
-                    }
-                }
-                loop {
-                    let mut top = self.heap.pop().expect("unpicked candidates remain");
-                    if top.kstamp < round {
-                        let surv =
-                            col_count_and(&mut self.store, &self.violators, posting_col[top.feat])
-                                .map_err(storage_err)? as usize;
-                        evaluated += 1;
-                        top.killed = live_violators - surv;
-                        top.kstamp = round;
-                        self.heap.push(top);
-                        continue;
-                    }
-                    let tie = self
-                        .heap
-                        .peek()
-                        .is_some_and(|next| next.killed == top.killed);
-                    if top.cstamp == round || !tie {
-                        break top.feat;
-                    }
-                    top.cover =
-                        col_count_and(&mut self.store, &self.supporters, posting_col[top.feat])
-                            .map_err(storage_err)? as usize;
-                    top.cstamp = round;
-                    self.heap.push(top);
-                }
-            };
-            picked.push(best_feat);
-            let pcol = posting_col[best_feat];
-            if round == 0 {
-                live_violators =
-                    col_copy_and_not_count(&mut self.store, &mut self.violators, pcol, class_col)
-                        .map_err(storage_err)? as usize;
-                col_copy_and(&mut self.store, &mut self.supporters, pcol, class_col)
-                    .map_err(storage_err)?;
-            } else {
-                live_violators = col_and_assign_count(&mut self.store, &mut self.violators, pcol)
-                    .map_err(storage_err)? as usize;
-                col_and_assign(&mut self.store, &mut self.supporters, pcol).map_err(storage_err)?;
-            }
-        }
-        cce_obs::counter!("cce_explain_keys_total", "algo" => "paged").inc();
-        cce_obs::histogram!("cce_explain_key_length", "algo" => "paged")
-            .record(picked.len() as u64);
-        cce_obs::counter!("cce_explain_violator_scans_total", "algo" => "paged").add(evaluated);
-        cce_obs::counter!("cce_lazy_greedy_skips_total").add(eager_scans - evaluated);
-        let achieved = 1.0 - live_violators as f64 / live as f64;
-        Ok(BudgetedKey {
-            key: RelativeKey::new(picked, alpha, achieved),
-            status: ExplainStatus::Complete,
-        })
+        let posting_col = (0..n).map(|f| geom.value_col(f, x0[f] as usize)).collect();
+        let class_col = geom.class_col(ci);
+        let mut src = PagedCounts {
+            store: &mut self.store,
+            violators: &mut self.violators,
+            supporters: &mut self.supporters,
+            posting_col,
+            seeds,
+            class_col,
+            class_size,
+            twin_certificate,
+            materialized: false,
+        };
+        let run = greedy::run(&mut src, alpha, budget, &mut self.heap).map_err(storage_err)?;
+        record_run!("paged", &run);
+        run.result
     }
 }

@@ -11,15 +11,21 @@
 //! optimum (Lemma 3) — computing the optimum itself is NP-complete
 //! (Theorem 1).
 //!
-//! Implementation note: rather than re-scanning the whole context per
-//! iteration (the literal reading of Algorithm 1), we maintain the
-//! *current violator set* and shrink it as features are picked. The
-//! selected features and the result are identical; only wall-clock
-//! improves (see the `ablation` bench).
+//! Implementation note: [`Srk::explain`] runs the shared lazy-greedy
+//! driver ([`crate::greedy`]) over row-id lists that shrink as features
+//! are picked; [`Srk::explain_naive`] keeps the literal re-scan of
+//! Algorithm 1 as the independent oracle. Both select the same features
+//! (see the `ablation` bench for the wall-clock difference).
+
+use std::cmp::Reverse;
+use std::convert::Infallible;
+
+use cce_dataset::{Instance, Label};
 
 use crate::alpha::Alpha;
 use crate::context::Context;
 use crate::error::ExplainError;
+use crate::greedy::{self, record_run, CandidateHeap, CountSource};
 use crate::key::RelativeKey;
 
 /// A cap on the violator-scan work one explain call may spend.
@@ -30,8 +36,9 @@ use crate::key::RelativeKey;
 /// best partial key found within budget, explicitly labeled as such.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WorkBudget {
-    /// Maximum individual violator-row scans (the unit counted by the
-    /// `cce_explain_violator_scans_total` metric).
+    /// Maximum violator-row scans in **eager-scan units**: each greedy
+    /// round charges `unpicked features × live violators`, what the
+    /// literal Algorithm 1 spends, whichever path serves the call.
     pub max_scans: u64,
 }
 
@@ -157,135 +164,151 @@ impl Srk {
         budget: WorkBudget,
     ) -> Result<BudgetedKey, ExplainError> {
         ctx.check_target(target)?;
-        let n = ctx.schema().n_features();
-        let tolerance = self.alpha.tolerance(ctx.len());
-        // Borrow, don't clone: the context is read-only for the whole
-        // scan, and the target row never moves.
-        let x0 = ctx.instance(target);
-
-        // Live violators: rows with a different prediction that still agree
-        // with x0 on everything picked so far — and, for tie-breaking, the
-        // live *supporters*: same-prediction rows still agreeing.
-        let mut violators = ctx.differing_rows(target);
-        let p0 = ctx.prediction(target);
-        let mut supporters: Vec<u32> = (0..ctx.len() as u32)
-            .filter(|&r| ctx.prediction(r as usize) == p0)
-            .collect();
-        let mut picked: Vec<usize> = Vec::new();
-        let mut in_key = vec![false; n];
-        // Accumulated locally (one atomic add at the end) so the hot loop
-        // stays allocation- and contention-free.
-        let mut scanned: u64 = 0;
-
-        while violators.len() > tolerance {
-            if picked.len() == n {
-                // All features used and still too many violators: those left
-                // are contradictions.
-                cce_obs::counter!("cce_explain_errors_total", "kind" => "no_conformant_key").inc();
-                return Err(ExplainError::NoConformantKey {
-                    contradictions: violators.len(),
-                    tolerance,
-                });
-            }
-            if scanned >= budget.max_scans {
-                // Out of budget: degrade gracefully with the partial key
-                // built so far instead of stalling the serving thread.
-                cce_obs::counter!("cce_explain_degraded_total").inc();
-                cce_obs::counter!("cce_explain_violator_scans_total", "algo" => "srk").add(scanned);
-                let achieved = 1.0 - violators.len() as f64 / ctx.len() as f64;
-                return Ok(BudgetedKey {
-                    key: RelativeKey::new(picked, self.alpha, achieved),
-                    status: ExplainStatus::Degraded {
-                        spent: scanned,
-                        remaining_violators: violators.len(),
-                    },
-                });
-            }
-            // Pick the feature minimizing surviving violators (Algorithm 1
-            // line 5). Ties are broken toward the feature keeping the most
-            // supporters — explanations that "apply to more instances"
-            // (§2) — then toward the lowest index for determinism. The
-            // tie-break does not affect the Lemma 3 bound, which holds for
-            // any argmin choice.
-            let mut best_feat = usize::MAX;
-            let mut best = (usize::MAX, usize::MAX); // (violators, -coverage)
-            for f in 0..n {
-                if in_key[f] {
-                    continue;
-                }
-                scanned += violators.len() as u64;
-                let surv = violators
-                    .iter()
-                    .filter(|&&r| ctx.instance(r as usize)[f] == x0[f])
-                    .count();
-                if surv > best.0 {
-                    continue;
-                }
-                let cover = supporters
-                    .iter()
-                    .filter(|&&r| ctx.instance(r as usize)[f] == x0[f])
-                    .count();
-                let cand = (surv, usize::MAX - cover);
-                if cand < best {
-                    best = cand;
-                    best_feat = f;
-                }
-            }
-            in_key[best_feat] = true;
-            picked.push(best_feat);
-            violators.retain(|&r| ctx.instance(r as usize)[best_feat] == x0[best_feat]);
-            supporters.retain(|&r| ctx.instance(r as usize)[best_feat] == x0[best_feat]);
-        }
-
-        cce_obs::counter!("cce_explain_keys_total", "algo" => "srk").inc();
-        cce_obs::histogram!("cce_explain_key_length", "algo" => "srk").record(picked.len() as u64);
-        cce_obs::counter!("cce_explain_violator_scans_total", "algo" => "srk").add(scanned);
-        let achieved = 1.0 - violators.len() as f64 / ctx.len() as f64;
-        Ok(BudgetedKey {
-            key: RelativeKey::new(picked, self.alpha, achieved),
-            status: ExplainStatus::Complete,
-        })
+        let mut src = RowLists {
+            ctx,
+            x0: ctx.instance(target),
+            p0: ctx.prediction(target),
+            seeds: Vec::new(),
+            violators: Vec::new(),
+            supporters: Vec::new(),
+        };
+        let Ok(run) = greedy::run(&mut src, self.alpha, budget, &mut CandidateHeap::default());
+        record_run!("srk", &run);
+        run.result
     }
 
     /// Reference implementation that re-scans the context every iteration —
-    /// the literal Algorithm 1. Kept for the ablation benchmark and for
-    /// differential testing against the optimized version.
+    /// the literal Algorithm 1. Kept for the ablation benchmark and as
+    /// the independent oracle every driver-backed path is tested against.
+    ///
+    /// # Errors
+    /// Same as [`Srk::explain`].
     pub fn explain_naive(&self, ctx: &Context, target: usize) -> Result<RelativeKey, ExplainError> {
+        self.explain_naive_budgeted(ctx, target, WorkBudget::unlimited())
+            .map(|b| b.key)
+    }
+
+    /// [`Srk::explain_naive`] under a [`WorkBudget`] (each round charges
+    /// `unpicked features × live violators`): the budgeted reference.
+    ///
+    /// # Errors
+    /// Same as [`Srk::explain`]; running out of budget is *not* an error.
+    pub fn explain_naive_budgeted(
+        &self,
+        ctx: &Context,
+        target: usize,
+        budget: WorkBudget,
+    ) -> Result<BudgetedKey, ExplainError> {
         ctx.check_target(target)?;
         let n = ctx.schema().n_features();
         let tolerance = self.alpha.tolerance(ctx.len());
         let mut picked: Vec<usize> = Vec::new();
-        let mut in_key = vec![false; n];
-
-        while ctx.count_violators(&picked, target) > tolerance {
+        let mut spent: u64 = 0;
+        let (violators, status) = loop {
+            let violators = ctx.count_violators(&picked, target);
+            if violators <= tolerance {
+                break (violators, ExplainStatus::Complete);
+            }
             if picked.len() == n {
                 return Err(ExplainError::NoConformantKey {
-                    contradictions: ctx.count_violators(&picked, target),
+                    contradictions: violators,
                     tolerance,
                 });
             }
-            let mut candidate = picked.clone();
-            let mut best_feat = usize::MAX;
-            let mut best = (usize::MAX, usize::MAX);
-            for (f, &used) in in_key.iter().enumerate() {
-                if used {
-                    continue;
-                }
-                candidate.push(f);
-                let v = ctx.count_violators(&candidate, target);
-                let cover = ctx.covered_rows(&candidate, target).len();
-                candidate.pop();
-                let cand = (v, usize::MAX - cover);
-                if cand < best {
-                    best = cand;
-                    best_feat = f;
-                }
+            if spent >= budget.max_scans {
+                let status = ExplainStatus::Degraded {
+                    spent,
+                    remaining_violators: violators,
+                };
+                break (violators, status);
             }
-            in_key[best_feat] = true;
-            picked.push(best_feat);
+            spent += ((n - picked.len()) * violators) as u64;
+            // Fewest violators, then most covered rows, then (as
+            // `min_by_key` keeps the first minimum) the lowest index.
+            let best = (0..n)
+                .filter(|f| !picked.contains(f))
+                .min_by_key(|&f| {
+                    let candidate = [picked.as_slice(), &[f]].concat();
+                    let cover = ctx.covered_rows(&candidate, target).len();
+                    (ctx.count_violators(&candidate, target), Reverse(cover))
+                })
+                .expect("an unpicked feature remains");
+            picked.push(best);
+        };
+        let achieved = 1.0 - violators as f64 / ctx.len() as f64;
+        Ok(BudgetedKey {
+            key: RelativeKey::new(picked, self.alpha, achieved),
+            status,
+        })
+    }
+}
+
+/// The row-list count source: the live sets as row-id lists over a
+/// [`Context`], filtered as features are picked.
+struct RowLists<'a> {
+    ctx: &'a Context,
+    x0: &'a Instance,
+    p0: Label,
+    seeds: Vec<(usize, usize)>,
+    violators: Vec<u32>,
+    supporters: Vec<u32>,
+}
+
+impl RowLists<'_> {
+    fn matching(&self, rows: &[u32], f: usize) -> usize {
+        rows.iter()
+            .filter(|&&r| self.ctx.instance(r as usize)[f] == self.x0[f])
+            .count()
+    }
+}
+
+impl CountSource for RowLists<'_> {
+    type Fault = Infallible;
+
+    fn n_features(&self) -> usize {
+        self.ctx.schema().n_features()
+    }
+
+    /// One pass splits the rows by prediction and tabulates the seeds.
+    fn start(&mut self) -> Result<(usize, usize), Infallible> {
+        let (ctx, x0) = (self.ctx, self.x0);
+        self.seeds = vec![(0, 0); self.n_features()];
+        self.violators.clear();
+        self.supporters.clear();
+        for r in 0..ctx.len() {
+            let same = ctx.prediction(r) == self.p0;
+            let live = if same {
+                &mut self.supporters
+            } else {
+                &mut self.violators
+            };
+            live.push(r as u32);
+            let values = ctx.instance(r).values().iter().zip(x0.values());
+            for (seed, (v, v0)) in self.seeds.iter_mut().zip(values) {
+                *if same { &mut seed.1 } else { &mut seed.0 } += usize::from(v == v0);
+            }
         }
-        let achieved = 1.0 - ctx.count_violators(&picked, target) as f64 / ctx.len() as f64;
-        Ok(RelativeKey::new(picked, self.alpha, achieved))
+        Ok((ctx.len(), self.violators.len()))
+    }
+
+    fn seed(&self, f: usize) -> (usize, usize) {
+        self.seeds[f]
+    }
+
+    fn surv(&mut self, f: usize) -> Result<usize, Infallible> {
+        Ok(self.matching(&self.violators, f))
+    }
+
+    fn cover(&mut self, f: usize) -> Result<usize, Infallible> {
+        Ok(self.matching(&self.supporters, f))
+    }
+
+    fn pick(&mut self, f: usize) -> Result<usize, Infallible> {
+        let (ctx, x0) = (self.ctx, self.x0);
+        let keeps = |r: &u32| ctx.instance(*r as usize)[f] == x0[f];
+        self.violators.retain(keeps);
+        self.supporters.retain(keeps);
+        Ok(self.violators.len())
     }
 }
 
@@ -465,7 +488,7 @@ mod tests {
             .expect("some target needs a multi-feature key");
         let full = srk.explain(&ctx, target).unwrap();
         // A budget covering exactly one pick round: n·|violators| scans.
-        let one_round = (ctx.schema().n_features() * ctx.differing_rows(target).len()) as u64;
+        let one_round = (ctx.schema().n_features() * ctx.count_violators(&[], target)) as u64;
         let b = srk
             .explain_budgeted(&ctx, target, WorkBudget::new(one_round))
             .unwrap();

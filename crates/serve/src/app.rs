@@ -181,8 +181,8 @@ impl<V: Vfs> App<V> {
             return Response::error_json(400, "body must carry a non-negative integer \"target\"");
         };
         let target = target as usize;
-        // Sharded serving: the router runs the greedy loop itself via
-        // scatter/gather, bypassing the batcher. Admission observes the
+        // Sharded serving: the router runs the greedy driver over
+        // scatter/gather counts, bypassing the batcher. Admission observes the
         // scatter concurrency instead of a queue depth, reusing the same
         // Normal→Degraded→Shedding machine and budgets.
         if let Some(sharded) = &self.sharded {

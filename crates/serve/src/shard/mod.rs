@@ -3,14 +3,15 @@
 //!
 //! The context's rows are hash-partitioned across `N` worker processes
 //! (`cce shard-worker`), each holding one disjoint row partition. The
-//! router in the daemon owns the SRK greedy loop itself: every round it
-//! scatters one stateless *counts* request (target instance, prediction,
-//! key-so-far) to all shards and sums the per-candidate surviving-violator
-//! and supporter-coverage counts — both are additive over disjoint row
-//! partitions, so with no faults the gathered pick sequence is **byte
-//! identical** to the single-process engine (the differential e2e test
-//! pins this). Statelessness is what makes the failure policy safe:
-//! retries and hedges can never double-apply work.
+//! router in the daemon runs the SRK greedy driver over shard counts: at
+//! the start and after every pick it scatters one stateless *counts*
+//! request (target instance, prediction, key-so-far) to all shards and
+//! sums the per-candidate surviving-violator and supporter-coverage
+//! counts — both are additive over disjoint row partitions, so with no
+//! faults the gathered pick sequence is **byte identical** to the
+//! single-process engine (the differential e2e test pins this).
+//! Statelessness is what makes the failure policy safe: retries and
+//! hedges can never double-apply work.
 //!
 //! Failure handling, per shard: a per-attempt deadline, budgeted retries
 //! with exponential backoff and full jitter, one hedged request when the

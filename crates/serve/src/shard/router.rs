@@ -1,9 +1,10 @@
 //! The scatter/gather router: a distributed `Srk::explain_budgeted`.
 //!
-//! The router owns the greedy loop. Every round it scatters one stateless
-//! [`Req::Counts`] — target instance, its prediction, key-so-far — to all
-//! live shards and sums three quantities that are each additive over
-//! disjoint row partitions:
+//! The router runs the one greedy driver (`cce_core::greedy`) over a
+//! count source backed by the shards. The source scatters one stateless
+//! [`Req::Counts`] — target instance, its prediction, key-so-far — to
+//! all live shards at the start and after every pick, and sums three
+//! quantities that are each additive over disjoint row partitions:
 //!
 //! * the live **violator** count (rows matching the target on every
 //!   picked feature with a different prediction),
@@ -12,11 +13,9 @@
 //! * per candidate feature, the **supporter coverage** used by the
 //!   tie-break.
 //!
-//! With the sums in hand it applies the exact pick rule of
-//! `cce_core::Srk::explain_budgeted` — minimize survivors, break ties
-//! toward coverage then lowest index — and replicates its scan
-//! accounting, so with no faults the result (key, status, achieved
-//! conformity, even the error cases) is byte-identical to the
+//! Seeds, survivors and coverage come from the latest gather, so a
+//! `k`-feature key costs exactly `k + 1` scatter rounds, and with no
+//! faults the result — errors included — is byte-identical to the
 //! single-process engine.
 //!
 //! Faults: when a shard call ultimately fails (after retries, hedge, and
@@ -33,7 +32,8 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use cce_core::{Alpha, BudgetedKey, ExplainError, ExplainStatus, RelativeKey, WorkBudget};
+use cce_core::greedy::{self, CandidateHeap, CountSource};
+use cce_core::{Alpha, BudgetedKey, ExplainError, WorkBudget};
 
 use super::client::ShardClient;
 use super::shard_of;
@@ -246,63 +246,6 @@ impl ShardedBackend {
         (global, global + 1)
     }
 
-    /// Scatters one counts round to `live` shards and sums. On a shard
-    /// failure returns that shard's index so the caller can exclude it
-    /// and restart.
-    fn gather(
-        &self,
-        live: &[usize],
-        x0: &[u32],
-        pred: u32,
-        picked: &[u32],
-    ) -> Result<Gathered, usize> {
-        cce_obs::counter!("cce_shard_scatter_rounds_total").inc();
-        let req = Req::Counts {
-            x: x0.to_vec(),
-            pred,
-            picked: picked.to_vec(),
-        };
-        let results: Vec<(usize, Result<Resp, super::client::CallError>)> =
-            std::thread::scope(|s| {
-                let handles: Vec<_> = live
-                    .iter()
-                    .map(|&i| {
-                        let client = &self.clients[i];
-                        let req = &req;
-                        s.spawn(move || (i, client.call(req)))
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().unwrap()).collect()
-            });
-        let mut g = Gathered {
-            rows: 0,
-            violators: 0,
-            surv: vec![0; self.n_features],
-            cover: vec![0; self.n_features],
-        };
-        for (i, r) in results {
-            match r {
-                Ok(Resp::Counts {
-                    rows,
-                    violators,
-                    surv,
-                    cover,
-                }) if surv.len() == self.n_features && cover.len() == self.n_features => {
-                    g.rows += rows;
-                    g.violators += violators;
-                    for (a, b) in g.surv.iter_mut().zip(&surv) {
-                        *a += b;
-                    }
-                    for (a, b) in g.cover.iter_mut().zip(&cover) {
-                        *a += b;
-                    }
-                }
-                _ => return Err(i),
-            }
-        }
-        Ok(g)
-    }
-
     /// Distributed `Srk::explain_budgeted` for global row `target`.
     ///
     /// With all shards reachable the returned result is byte-identical
@@ -350,128 +293,156 @@ impl ShardedBackend {
 
         // The target row lives on exactly one shard; without it there is
         // nothing to explain relative to.
+        let unavailable = |mut missing: Vec<usize>| {
+            missing.sort_unstable();
+            ShardedAnswer::Unavailable {
+                missing_shards: missing,
+            }
+        };
         let owner = shard_of(target, n_shards);
         if excluded.contains(&owner) {
-            excluded.sort_unstable();
-            return ShardedAnswer::Unavailable {
-                missing_shards: excluded,
-            };
+            return unavailable(excluded);
         }
         let (x0, p0) = match self.clients[owner].call(&Req::Fetch { global: target }) {
             Ok(Resp::Row { x, pred }) if x.len() == self.n_features => (x, pred),
             _ => {
                 excluded.push(owner);
-                excluded.sort_unstable();
-                return ShardedAnswer::Unavailable {
-                    missing_shards: excluded,
-                };
+                return unavailable(excluded);
             }
         };
 
-        let n = self.n_features;
         // Restart loop: each iteration runs the whole greedy over one
         // fixed live set; a shard failure shrinks the set and retries.
-        'restart: loop {
-            let live: Vec<usize> = (0..n_shards).filter(|i| !excluded.contains(i)).collect();
-            if !live.contains(&owner) {
-                excluded.sort_unstable();
-                return ShardedAnswer::Unavailable {
-                    missing_shards: excluded,
-                };
+        let mut heap = CandidateHeap::default();
+        let mut src = ShardCounts {
+            backend: self,
+            live: Vec::new(),
+            x0: &x0,
+            p0,
+            picked: Vec::new(),
+            gathers: Vec::new(),
+        };
+        loop {
+            src.live = (0..n_shards).filter(|i| !excluded.contains(i)).collect();
+            if !src.live.contains(&owner) {
+                return unavailable(excluded);
             }
-
-            let mut picked: Vec<u32> = Vec::new();
-            let mut in_key = vec![false; n];
-            let mut scanned: u64 = 0;
-
-            let mut g = match self.gather(&live, &x0, p0, &picked) {
-                Ok(g) => g,
-                Err(failed) => {
-                    excluded.push(failed);
-                    continue 'restart;
-                }
-            };
-            // The live context size is fixed for this attempt: tolerance
-            // and achieved conformity both derive from it, exactly as
-            // `ctx.len()` does in the single-process loop.
-            let len_live = g.rows as usize;
-            let tolerance = self.alpha.tolerance(len_live);
-
-            loop {
-                let violators = g.violators as usize;
-                if violators <= tolerance {
+            match greedy::run(&mut src, self.alpha, budget, &mut heap) {
+                Ok(run) => {
                     excluded.sort_unstable();
-                    let achieved = 1.0 - violators as f64 / len_live as f64;
                     return ShardedAnswer::Done {
-                        result: Ok(BudgetedKey {
-                            key: RelativeKey::new(
-                                picked.iter().map(|&f| f as usize).collect(),
-                                self.alpha,
-                                achieved,
-                            ),
-                            status: ExplainStatus::Complete,
-                        }),
+                        result: run.result,
                         missing_shards: excluded,
                     };
                 }
-                if picked.len() == n {
-                    excluded.sort_unstable();
-                    return ShardedAnswer::Done {
-                        result: Err(ExplainError::NoConformantKey {
-                            contradictions: violators,
-                            tolerance,
-                        }),
-                        missing_shards: excluded,
-                    };
-                }
-                if scanned >= budget.max_scans {
-                    excluded.sort_unstable();
-                    let achieved = 1.0 - violators as f64 / len_live as f64;
-                    return ShardedAnswer::Done {
-                        result: Ok(BudgetedKey {
-                            key: RelativeKey::new(
-                                picked.iter().map(|&f| f as usize).collect(),
-                                self.alpha,
-                                achieved,
-                            ),
-                            status: ExplainStatus::Degraded {
-                                spent: scanned,
-                                remaining_violators: violators,
-                            },
-                        }),
-                        missing_shards: excluded,
-                    };
-                }
-                // The exact pick rule: minimize surviving violators, break
-                // ties toward supporter coverage, then lowest index.
-                let mut best_feat = usize::MAX;
-                let mut best = (usize::MAX, usize::MAX);
-                for (f, &already) in in_key.iter().enumerate() {
-                    if already {
-                        continue;
-                    }
-                    scanned += violators as u64;
-                    let surv = g.surv[f] as usize;
-                    if surv > best.0 {
-                        continue;
-                    }
-                    let cover = g.cover[f] as usize;
-                    let cand = (surv, usize::MAX - cover);
-                    if cand < best {
-                        best = cand;
-                        best_feat = f;
-                    }
-                }
-                in_key[best_feat] = true;
-                picked.push(best_feat as u32);
-                g = match self.gather(&live, &x0, p0, &picked) {
-                    Ok(g) => g,
-                    Err(failed) => {
-                        excluded.push(failed);
-                        continue 'restart;
-                    }
-                };
+                Err(failed) => excluded.push(failed),
             }
         }
+    }
+}
+
+/// The shard count source: every count is a sum over one gather from
+/// the live shards, fixed per attempt — and with them the context size.
+struct ShardCounts<'a> {
+    backend: &'a ShardedBackend,
+    live: Vec<usize>,
+    x0: &'a [u32],
+    p0: u32,
+    picked: Vec<u32>,
+    /// One gather per round: the empty key's (the seeds), then one after
+    /// each pick. The driver asks for live counts only after a pick.
+    gathers: Vec<Gathered>,
+}
+
+impl ShardCounts<'_> {
+    /// Scatters one `Counts` round for the key so far and keeps the
+    /// sums, returning the violator count — or the index of a shard that
+    /// failed, for the caller to exclude before restarting.
+    fn gather(&mut self) -> Result<usize, usize> {
+        cce_obs::counter!("cce_shard_scatter_rounds_total").inc();
+        let req = Req::Counts {
+            x: self.x0.to_vec(),
+            pred: self.p0,
+            picked: self.picked.clone(),
+        };
+        let clients = &self.backend.clients;
+        let results: Vec<(usize, Result<Resp, super::client::CallError>)> =
+            std::thread::scope(|s| {
+                let handles: Vec<_> = self
+                    .live
+                    .iter()
+                    .map(|&i| {
+                        let (client, req) = (&clients[i], &req);
+                        s.spawn(move || (i, client.call(req)))
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+        let n = self.backend.n_features;
+        let mut g = Gathered {
+            rows: 0,
+            violators: 0,
+            surv: vec![0; n],
+            cover: vec![0; n],
+        };
+        for (i, r) in results {
+            match r {
+                Ok(Resp::Counts {
+                    rows,
+                    violators,
+                    surv,
+                    cover,
+                }) if surv.len() == n && cover.len() == n => {
+                    g.rows += rows;
+                    g.violators += violators;
+                    for (a, b) in g.surv.iter_mut().zip(&surv) {
+                        *a += b;
+                    }
+                    for (a, b) in g.cover.iter_mut().zip(&cover) {
+                        *a += b;
+                    }
+                }
+                _ => return Err(i),
+            }
+        }
+        let violators = g.violators as usize;
+        self.gathers.push(g);
+        Ok(violators)
+    }
+}
+
+impl CountSource for ShardCounts<'_> {
+    /// The shard that failed.
+    type Fault = usize;
+
+    fn n_features(&self) -> usize {
+        self.backend.n_features
+    }
+
+    fn start(&mut self) -> Result<(usize, usize), usize> {
+        self.picked.clear();
+        self.gathers.clear();
+        let violators = self.gather()?;
+        Ok((self.gathers[0].rows as usize, violators))
+    }
+
+    fn seed(&self, f: usize) -> (usize, usize) {
+        (
+            self.gathers[0].surv[f] as usize,
+            self.gathers[0].cover[f] as usize,
+        )
+    }
+
+    fn surv(&mut self, f: usize) -> Result<usize, usize> {
+        Ok(self.gathers[self.picked.len()].surv[f] as usize)
+    }
+
+    fn cover(&mut self, f: usize) -> Result<usize, usize> {
+        Ok(self.gathers[self.picked.len()].cover[f] as usize)
+    }
+
+    fn pick(&mut self, f: usize) -> Result<usize, usize> {
+        self.picked.push(f as u32);
+        self.gather()
     }
 }

@@ -9,11 +9,11 @@ use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use cce_core::persist::MemVfs;
-use cce_core::{Alpha, Context, OsrkMonitor, Srk, WorkBudget};
+use cce_core::{Alpha, Context, ExplainError, OsrkMonitor, Srk, WorkBudget};
 use cce_dataset::{csv, schema_io, synth, BinSpec, Dataset};
 use cce_serve::http::read_response;
 use cce_serve::json::Json;
@@ -26,6 +26,20 @@ use cce_serve::{
 };
 
 const ALPHA: f64 = 1.0;
+
+/// Serializes the tests that scatter: `cce_shard_scatter_rounds_total`
+/// is process-global, and the no-fault test pins its exact growth per
+/// answer.
+fn scatter_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn scatter_rounds() -> u64 {
+    cce_obs::registry()
+        .snapshot()
+        .counter_total("cce_shard_scatter_rounds_total")
+}
 
 fn loan_dataset(rows: usize) -> Dataset {
     synth::loan::generate(rows, 42).encode(&BinSpec::uniform(6))
@@ -92,13 +106,23 @@ fn sharded_backend(tag: &str, ds: &Dataset, shards: usize, chaos: bool) -> Arc<S
 /// single-process engine produces.
 #[test]
 fn no_fault_gather_is_byte_identical_to_single_process() {
+    let _serial = scatter_lock();
     let ds = loan_dataset(240);
     let ctx = Context::from_recorded(&ds);
     let alpha = Alpha::new(ALPHA).unwrap();
     let backend = sharded_backend("diff", &ds, 3, false);
+    let n = ds.schema().n_features() as u64;
+    // The lazy driver never adds a gather: one scatter round for the
+    // empty key plus one per pick.
+    let expected_rounds = |result: &Result<cce_core::BudgetedKey, ExplainError>| match result {
+        Ok(b) => b.key.succinctness() as u64 + 1,
+        Err(ExplainError::NoConformantKey { .. }) => n + 1,
+        Err(e) => panic!("unexpected error {e:?}"),
+    };
 
     let srk = Srk::new(alpha);
     for target in 0..ctx.len() {
+        let rounds_before = scatter_rounds();
         let ShardedAnswer::Done {
             result,
             missing_shards,
@@ -107,6 +131,11 @@ fn no_fault_gather_is_byte_identical_to_single_process() {
             panic!("target {target}: unavailable with every shard healthy");
         };
         assert!(missing_shards.is_empty(), "target {target}: no faults ran");
+        assert_eq!(
+            scatter_rounds() - rounds_before,
+            expected_rounds(&result),
+            "target {target}: scatter rounds"
+        );
         let got = explain_response(target, alpha, &result);
         let want = explain_response(
             target,
@@ -120,16 +149,26 @@ fn no_fault_gather_is_byte_identical_to_single_process() {
         );
     }
 
-    // Budgeted degradation decomposes identically too: the router
-    // replicates the engine's scan accounting, so the truncation point
-    // (and the Degraded status it renders) is the same.
+    // Budgeted degradation decomposes identically too: the router runs
+    // the same driver and scan accounting, so the truncation point (and
+    // the Degraded status it renders) matches the budgeted oracle.
     let budget = WorkBudget::new(64);
     for target in [0usize, 17, 101, 239] {
+        let rounds_before = scatter_rounds();
         let ShardedAnswer::Done { result, .. } = backend.explain(target as u64, budget) else {
             panic!("target {target}: unavailable");
         };
+        assert_eq!(
+            scatter_rounds() - rounds_before,
+            expected_rounds(&result),
+            "budgeted target {target}: scatter rounds"
+        );
         let got = explain_response(target, alpha, &result);
-        let want = explain_response(target, alpha, &srk.explain_budgeted(&ctx, target, budget));
+        let want = explain_response(
+            target,
+            alpha,
+            &srk.explain_naive_budgeted(&ctx, target, budget),
+        );
         assert_eq!(got.body, want.body, "budgeted target {target}");
     }
 
@@ -150,6 +189,7 @@ fn no_fault_gather_is_byte_identical_to_single_process() {
 /// extended context.
 #[test]
 fn ingested_rows_route_to_owner_shards_and_are_explainable() {
+    let _serial = scatter_lock();
     let ds = loan_dataset(120);
     let pool = loan_dataset(160);
     let alpha = Alpha::new(ALPHA).unwrap();
@@ -259,6 +299,7 @@ fn sharded_app(ds: &Dataset, backend: Arc<ShardedBackend>) -> Arc<App<MemVfs>> {
 /// again.
 #[test]
 fn chaos_kills_mid_scatter_never_break_the_response_contract() {
+    let _serial = scatter_lock();
     let quick = std::env::var("CCE_CHAOS_QUICK").is_ok();
     let ds = loan_dataset(200);
     let ctx = Context::from_recorded(&ds);
@@ -451,6 +492,7 @@ fn chaos_endpoint_is_gated() {
 /// healthz tracks it, and the row is explainable through the router.
 #[test]
 fn http_ingest_reaches_owner_shard_and_serves() {
+    let _serial = scatter_lock();
     let ds = loan_dataset(80);
     let pool = loan_dataset(90);
     let alpha = Alpha::new(ALPHA).unwrap();
