@@ -62,7 +62,8 @@ const USAGE: &str = "usage:
                  [--window ROWS [--window-delta D]]  slide the live ingest context by ΔI=D
                  [--shards N [--shard-deadline-ms MS] [--shard-retries R]
                   [--shard-backoff-ms MS] [--shard-hedge-ms MS] [--chaos]]
-                 --store serves explains out-of-core from a converted store (no CSV load)
+                 --store serves explains out-of-core from a converted store (no CSV load);
+                   the store is read-only: /monitor/ingest feeds the monitor only
                  --shards partitions rows across N supervised worker processes
   cce shard-worker --data <file.csv> --shard-index I --shards N [--addr HOST:PORT]
                  (spawned by `cce serve --shards`; rarely run by hand)
@@ -535,12 +536,18 @@ fn serve(args: &Args) -> Result<(), String> {
         }
     }
     // Disk-backed mode: `/explain` answers from the converted store via
-    // the page cache; the live ingest context starts empty over the
-    // store's schema and fills from `/monitor/ingest`.
+    // the page cache. The store is a read-only context: ingest feeds
+    // only the monitor, so there is nothing for a window to slide.
     let mut paged = match args.optional("store") {
         Some(path) => {
             if args.optional("data").is_some() {
                 return Err("--store and --data are mutually exclusive".into());
+            }
+            if args.int("window")?.is_some() {
+                return Err(
+                    "--window is not supported with --store (the store context never slides)"
+                        .into(),
+                );
             }
             let idx = cce_core::PagedContextIndex::open(StdVfs, &path, cache_bytes_of(args)?)
                 .map_err(|e| format!("opening {path}: {e}"))?;

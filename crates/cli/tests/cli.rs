@@ -650,6 +650,20 @@ fn explain_rejects_store_plus_data() {
 }
 
 #[test]
+fn serve_rejects_store_plus_window() {
+    let out = cce()
+        .args(["serve", "--store", "whatever.pg", "--window", "100"])
+        .output()
+        .expect("run cce serve");
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--window is not supported with --store"),
+        "stderr: {stderr}"
+    );
+}
+
+#[test]
 fn explain_store_rejects_a_truncated_store() {
     let path = export_loan();
     let store = tmp("loan_trunc.pg");

@@ -1,7 +1,7 @@
 //! Budgeted admission control: the overload state machine.
 //!
-//! The daemon tracks its coalescing-queue depth and moves through three
-//! levels:
+//! Before every explain the daemon feeds its backend's load, arrival
+//! included, through three levels:
 //!
 //! ```text
 //!            depth ≥ degrade_depth            depth ≥ shed_depth
@@ -17,9 +17,9 @@
 //!   `"degraded"` [`ExplainStatus`] with the partial key, trading key
 //!   completeness for bounded latency.
 //! * **Shedding** — new work is refused outright with `429` and a
-//!   `Retry-After` hint; queued work still drains (degraded).
+//!   `Retry-After` hint; admitted work still drains.
 //!
-//! Exits use half-depth hysteresis so a queue oscillating around a
+//! Exits use half-depth hysteresis so a load oscillating around a
 //! threshold does not flap between levels on every request.
 //!
 //! [`Srk::explain_budgeted`]: cce_core::Srk::explain_budgeted
@@ -32,9 +32,9 @@ use cce_core::WorkBudget;
 /// Thresholds of the admission state machine.
 #[derive(Debug, Clone, Copy)]
 pub struct AdmissionConfig {
-    /// Queue depth at which new requests are shed with `429`.
+    /// Load at which new requests are shed with `429`.
     pub shed_depth: usize,
-    /// Queue depth at which explains degrade to `degrade_budget`.
+    /// Load at which explains degrade to `degrade_budget`.
     pub degrade_depth: usize,
     /// Violator-scan budget per explain while degraded.
     pub degrade_budget: u64,
@@ -62,7 +62,7 @@ pub enum Level {
 }
 
 /// The state machine itself. All transitions happen in [`Admission::observe`],
-/// driven by queue-depth observations from the submit and drain paths.
+/// driven by one load observation per explain arrival.
 #[derive(Debug)]
 pub struct Admission {
     cfg: AdmissionConfig,
@@ -78,12 +78,7 @@ impl Admission {
         }
     }
 
-    /// The configured thresholds.
-    pub fn config(&self) -> AdmissionConfig {
-        self.cfg
-    }
-
-    /// Feeds a queue-depth observation through the transition function
+    /// Feeds a load observation through the transition function
     /// and returns the (possibly new) level.
     pub fn observe(&self, depth: usize) -> Level {
         let mut level = self.level.lock().unwrap_or_else(|e| e.into_inner());
@@ -120,7 +115,14 @@ impl Admission {
 
     /// The per-explain work budget at the current level.
     pub fn budget(&self) -> WorkBudget {
-        match self.level() {
+        self.budget_at(self.level())
+    }
+
+    /// The per-explain work budget at `level` — pass the level an
+    /// [`Admission::observe`] returned so the shed check and the budget
+    /// come from the same observation.
+    pub fn budget_at(&self, level: Level) -> WorkBudget {
+        match level {
             Level::Normal => WorkBudget::unlimited(),
             Level::Degraded | Level::Shedding => WorkBudget::new(self.cfg.degrade_budget),
         }

@@ -5,117 +5,76 @@
 //! is generic over the [`Vfs`] so the kill-during-ingest test can run
 //! the production handler on the fault-injecting `MemVfs`.
 //!
+//! Every explain path sits behind one [`Backend`]; the routes never ask
+//! which one. The drain `503`, the `429` shed decision, answer rendering
+//! and the ingest ack are each written here once.
+//!
 //! Endpoints:
 //!
-//! | route                  | behavior                                            |
-//! |------------------------|-----------------------------------------------------|
-//! | `POST /explain`        | coalesced, budgeted relative-key explanation        |
-//! | `POST /monitor/ingest` | WAL-durable online monitor arrival (ack = fsynced)  |
-//! | `GET /metrics`         | Prometheus text exposition of the whole registry    |
-//! | `GET /healthz`         | liveness + context/queue/drain summary              |
-//! | `POST /admin/shutdown` | begins graceful drain, idempotent                   |
+//! | route                          | behavior                                            |
+//! |--------------------------------|-----------------------------------------------------|
+//! | `POST /explain`                | budgeted relative-key explanation from the backend  |
+//! | `POST /monitor/ingest`         | WAL-durable online monitor arrival (ack = fsynced)  |
+//! | `GET /metrics`                 | Prometheus text exposition of the whole registry    |
+//! | `GET /healthz`                 | liveness + context/backend/drain summary            |
+//! | `POST /admin/shutdown`         | begins graceful drain, idempotent                   |
+//! | `POST /admin/chaos/kill-shard` | kills a shard worker (sharded `--chaos` only)       |
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use cce_core::persist::Vfs;
 use cce_core::{Alpha, BudgetedKey, ExplainError, ExplainStatus};
-use cce_dataset::{Instance, Label};
+use cce_dataset::{Instance, Label, Schema};
 
-use crate::admission::Level;
-use crate::batcher::{Batcher, Submission};
+use crate::admission::{Admission, AdmissionConfig, Level};
+use crate::backend::{Answer, Backend};
 use crate::http::{Request, Response};
-use crate::ingest::{IngestError, IngestState};
+use crate::ingest::{IngestError, IngestState, MonitorBackend};
 use crate::json::{escape, int_array, Json};
-use crate::shard::router::ShardedAnswer;
-use crate::shard::ShardedBackend;
-use crate::store::PagedBackend;
 
-/// Sliding bound on the live ingest context: once the engine holds more
-/// than `capacity` rows, every `delta` further arrivals evict the
-/// `delta` oldest — each a tombstone delta, never a rebuild.
-#[derive(Debug, Clone, Copy)]
-pub struct LiveWindow {
-    /// Live rows beyond which the context starts sliding.
-    pub capacity: usize,
-    /// ΔI: evictions happen in granules of this many rows.
-    pub delta: usize,
-}
-
-/// The daemon's shared state.
+/// The daemon's shared state: one backend, one admission machine, the
+/// ingest monitor and the drain flag.
 pub struct App<V: Vfs> {
-    batcher: Arc<Batcher>,
+    backend: Arc<dyn Backend>,
+    /// The serving schema: ingests are validated against it.
+    schema: Arc<Schema>,
+    admission: Admission,
     ingest: Mutex<IngestState<V>>,
-    /// Optional ΔI bound on the live context (`None` → it only grows).
-    window: Option<LiveWindow>,
-    /// Arrivals past capacity awaiting the next ΔI slide; mutated only
-    /// under the ingest lock (the WAL serializes arrivals anyway).
-    staged: AtomicUsize,
-    /// Disk-backed explain backend (`cce serve --store`). When present,
-    /// `/explain` targets address the store's rows through the page
-    /// cache instead of the in-RAM batch engine.
-    paged: Option<PagedBackend<V>>,
-    /// Sharded scatter/gather backend (`cce serve --shards N`). When
-    /// present, `/explain` and live-context ingest route to the shard
-    /// workers instead of the in-RAM batch engine.
-    sharded: Option<Arc<ShardedBackend>>,
     draining: AtomicBool,
 }
 
 impl<V: Vfs> App<V> {
-    /// Assembles the app over a running batcher and an ingest state.
-    /// `window`, when set, bounds the live ingest context by ΔI slides.
-    pub fn new(batcher: Arc<Batcher>, ingest: IngestState<V>, window: Option<LiveWindow>) -> Self {
+    /// Assembles the app over `backend`, whose contexts share `schema`,
+    /// with an ingest monitor over `monitor`.
+    pub fn new(
+        backend: Arc<dyn Backend>,
+        schema: Arc<Schema>,
+        admission: AdmissionConfig,
+        monitor: MonitorBackend<V>,
+    ) -> Self {
+        let width = schema.n_features();
         Self {
-            batcher,
-            ingest: Mutex::new(ingest),
-            window,
-            staged: AtomicUsize::new(0),
-            paged: None,
-            sharded: None,
+            backend,
+            schema,
+            admission: Admission::new(admission),
+            ingest: Mutex::new(IngestState::new(monitor, width)),
             draining: AtomicBool::new(false),
         }
     }
 
-    /// Attaches a disk-backed explain backend: `/explain` routes through
-    /// the paged index, and `/healthz` reports its page-cache stats.
-    #[must_use]
-    pub fn with_paged(mut self, backend: PagedBackend<V>) -> Self {
-        self.paged = Some(backend);
-        self
+    /// The backend (the server spawns its [`Backend::run`] loop and
+    /// [`Backend::close`]s it after the connections drain). Named for
+    /// the in-RAM backend, the coalescing [`Batcher`](crate::Batcher).
+    pub fn batcher(&self) -> &Arc<dyn Backend> {
+        &self.backend
     }
 
-    /// The disk-backed backend, when serving from a store.
-    pub fn paged(&self) -> Option<&PagedBackend<V>> {
-        self.paged.as_ref()
-    }
-
-    /// Attaches the sharded scatter/gather backend: `/explain` routes
-    /// through the shard router, ingest forwards to owner shards, and
-    /// `/healthz` reports shard liveness.
-    #[must_use]
-    pub fn with_sharded(mut self, backend: Arc<ShardedBackend>) -> Self {
-        self.sharded = Some(backend);
-        self
-    }
-
-    /// The sharded backend, when serving sharded.
-    pub fn sharded(&self) -> Option<&Arc<ShardedBackend>> {
-        self.sharded.as_ref()
-    }
-
-    /// Stops the shard supervisor and workers (drain path). No-op when
-    /// not sharded; idempotent.
+    /// Closes the backend; for a sharded one that stops the supervisor
+    /// and workers. Idempotent.
     pub fn stop_shards(&self) {
-        if let Some(s) = &self.sharded {
-            s.stop();
-        }
-    }
-
-    /// The coalescing queue (the server spawns its run loop).
-    pub fn batcher(&self) -> &Arc<Batcher> {
-        &self.batcher
+        self.backend.close();
     }
 
     /// True once a drain has begun.
@@ -123,8 +82,9 @@ impl<V: Vfs> App<V> {
         self.draining.load(Ordering::SeqCst)
     }
 
-    /// Starts the drain: new ingests get `503`, the explain queue closes
-    /// after flushing, connections stop being kept alive. Idempotent.
+    /// Starts the drain: new explains and ingests get `503`, the backend
+    /// closes after the connections finish, connections stop being kept
+    /// alive. Idempotent.
     pub fn begin_drain(&self) {
         self.draining.store(true, Ordering::SeqCst);
     }
@@ -141,11 +101,6 @@ impl<V: Vfs> App<V> {
             .final_checkpoint()
     }
 
-    /// Read access to the ingest monitor (tests, health).
-    pub fn with_ingest<R>(&self, f: impl FnOnce(&IngestState<V>) -> R) -> R {
-        f(&self.ingest.lock().unwrap_or_else(|e| e.into_inner()))
-    }
-
     /// Routes one request. Every path records a per-endpoint latency
     /// histogram and a status-code counter.
     pub fn handle(&self, req: &Request) -> Response {
@@ -156,7 +111,7 @@ impl<V: Vfs> App<V> {
             ("GET", "/metrics") => ("metrics", metrics_response()),
             ("GET", "/healthz") => ("healthz", self.healthz()),
             ("POST", "/admin/shutdown") => ("shutdown", self.shutdown()),
-            ("POST", "/admin/chaos/kill-shard") => ("chaos", self.chaos_kill()),
+            ("POST", "/admin/chaos/kill-shard") => ("chaos", self.backend.chaos_kill()),
             (
                 _,
                 "/explain"
@@ -181,89 +136,49 @@ impl<V: Vfs> App<V> {
             return Response::error_json(400, "body must carry a non-negative integer \"target\"");
         };
         let target = target as usize;
-        // Sharded serving: the router runs the greedy driver over
-        // scatter/gather counts, bypassing the batcher. Admission observes the
-        // scatter concurrency instead of a queue depth, reusing the same
-        // Normal→Degraded→Shedding machine and budgets.
-        if let Some(sharded) = &self.sharded {
-            if self.draining() {
-                return Response::error_json(503, "server is draining");
-            }
-            let admission = self.batcher.admission();
-            if admission.observe(sharded.inflight()) == Level::Shedding {
-                return Response::json(
-                    429,
-                    "{\"status\":\"shed\",\"error\":\"server overloaded, retry later\"}"
-                        .to_string(),
-                )
-                .with_header("Retry-After", "1".to_string());
-            }
-            let alpha = sharded.alpha();
-            return match sharded.explain(target as u64, admission.budget()) {
-                ShardedAnswer::Done {
-                    result,
-                    missing_shards,
-                } => {
-                    let resp = explain_response(target, alpha, &result);
-                    if missing_shards.is_empty() {
-                        resp
-                    } else {
-                        mark_partial(resp, &missing_shards)
-                    }
-                }
-                ShardedAnswer::Unavailable { missing_shards } => Response::json(
-                    503,
-                    format!(
-                        "{{\"status\":\"unavailable\",\"error\":\"target row's shard is down, retry shortly\",\"missing_shards\":{}}}",
-                        int_array(missing_shards),
-                    ),
-                )
-                .with_header("Retry-After", "1".to_string()),
-            };
+        if self.draining() {
+            return draining_response();
         }
-        // Disk-backed serving: answer from the store, bypassing the
-        // coalescing batcher (its memoization keys on live-context rows,
-        // not store rows). Drain semantics match the batcher's Closed.
-        if let Some(paged) = &self.paged {
-            if self.draining() {
-                return Response::error_json(503, "server is draining");
-            }
-            let alpha = self
-                .batcher
-                .engine()
-                .read()
-                .unwrap_or_else(|e| e.into_inner())
-                .alpha();
-            let result = paged.explain(target, alpha);
-            return explain_response(target, alpha, &result);
-        }
-        match self.batcher.submit(target) {
-            Submission::Shed => Response::json(
+        // Admission sees the backend's load with this request included;
+        // that one observation decides the shed and the budget. A shed
+        // costs the backend nothing.
+        let level = self.admission.observe(self.backend.load() + 1);
+        if level == Level::Shedding {
+            cce_obs::counter!("cce_serve_shed_total").inc();
+            return Response::json(
                 429,
                 "{\"status\":\"shed\",\"error\":\"server overloaded, retry later\"}".to_string(),
             )
-            .with_header("Retry-After", "1".to_string()),
-            Submission::Closed => Response::error_json(503, "server is draining"),
-            Submission::Enqueued(rx) => match rx.recv() {
-                Ok(result) => {
-                    let alpha = self
-                        .batcher
-                        .engine()
-                        .read()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .alpha();
-                    explain_response(target, alpha, &result)
+            .with_header("Retry-After", "1".to_string());
+        }
+        match self.backend.explain(target, self.admission.budget_at(level)) {
+            Answer::Done {
+                result,
+                missing_shards,
+            } => {
+                let resp = explain_response(target, self.backend.alpha(), &result);
+                if missing_shards.is_empty() {
+                    resp
+                } else {
+                    mark_partial(resp, &missing_shards)
                 }
-                // The batcher thread died without answering: a server
-                // bug, reported as such.
-                Err(_) => Response::error_json(500, "explanation worker unavailable"),
-            },
+            }
+            Answer::Unavailable { missing_shards } => Response::json(
+                503,
+                format!(
+                    "{{\"status\":\"unavailable\",\"error\":\"target row's shard is down, retry shortly\",\"missing_shards\":{}}}",
+                    int_array(missing_shards),
+                ),
+            )
+            .with_header("Retry-After", "1".to_string()),
+            Answer::Closed => draining_response(),
+            Answer::Failed => Response::error_json(500, "explanation worker unavailable"),
         }
     }
 
     fn monitor_ingest(&self, req: &Request) -> Response {
         if self.draining() {
-            return Response::error_json(503, "server is draining");
+            return draining_response();
         }
         let body = match parse_body(req) {
             Ok(v) => v,
@@ -291,56 +206,27 @@ impl<V: Vfs> App<V> {
         let x = Instance::new(cats);
         let pred = Label(pred as u32);
         // Validate value codes against the serving schema BEFORE the WAL
-        // observe: a row the live context would reject must not become
-        // durable monitor state, and an out-of-cardinality code would
-        // otherwise poison the value-addressed index.
-        {
-            let engine = self
-                .batcher
-                .engine()
-                .read()
-                .unwrap_or_else(|e| e.into_inner());
-            let schema = engine.schema();
-            if x.len() != schema.n_features() {
+        // observe (which checks the width): a row the context would
+        // reject must not become durable monitor state, and an
+        // out-of-cardinality code would otherwise poison the
+        // value-addressed index.
+        for (f, (&v, def)) in x.values().iter().zip(self.schema.features()).enumerate() {
+            let card = def.cardinality();
+            if v as usize >= card {
+                cce_obs::counter!("cce_serve_ingest_rejected_total", "kind" => "value").inc();
                 return Response::error_json(
                     400,
-                    &format!(
-                        "instance width {} does not match context width {}",
-                        x.len(),
-                        schema.n_features()
-                    ),
+                    &format!("value code {v} at feature {f} exceeds cardinality {card}"),
                 );
-            }
-            for f in 0..x.len() {
-                let card = schema.feature(f).cardinality();
-                if x[f] as usize >= card {
-                    cce_obs::counter!("cce_serve_ingest_rejected_total", "kind" => "value").inc();
-                    return Response::error_json(
-                        400,
-                        &format!(
-                            "value code {} at feature {f} exceeds cardinality {card}",
-                            x[f]
-                        ),
-                    );
-                }
             }
         }
         let mut ingest = self.ingest.lock().unwrap_or_else(|e| e.into_inner());
         match ingest.observe(x.clone(), pred) {
             Ok(ack) => {
-                // The arrival is durable (or the backend is plain): join
-                // it to the live explanation context as an insert delta,
-                // sliding in ΔI granules when a window bound is set. Held
-                // under the ingest lock so the staged counter is exact.
-                // Sharded: the row goes to its owner worker (and the
-                // replay log) instead of the local engine.
-                let context_rows = match &self.sharded {
-                    Some(s) => {
-                        let codes: Vec<u32> = (0..x.len()).map(|f| x[f]).collect();
-                        s.push(codes, pred.0).1 as usize
-                    }
-                    None => self.push_live(x, pred),
-                };
+                // The arrival is durable (or the monitor is plain): hand
+                // it to the backend under the ingest lock, so arrivals
+                // reach the context in acknowledgment order.
+                let context_rows = self.backend.ingest(x, pred);
                 Response::json(
                     200,
                     format!(
@@ -367,83 +253,18 @@ impl<V: Vfs> App<V> {
         }
     }
 
-    /// Applies one live-context insert delta (plus any due ΔI slide) and
-    /// returns the resulting live row count.
-    fn push_live(&self, x: Instance, pred: Label) -> usize {
-        let mut engine = self
-            .batcher
-            .engine()
-            .write()
-            .unwrap_or_else(|e| e.into_inner());
-        if engine.push(x, pred).is_err() {
-            // Unreachable when monitor and context share a schema, but a
-            // mismatched arrival must not poison the serving context.
-            cce_obs::counter!("cce_serve_live_push_rejected_total").inc();
-            return engine.len();
-        }
-        if let Some(w) = self.window {
-            if engine.len() > w.capacity {
-                let staged = self.staged.fetch_add(1, Ordering::SeqCst) + 1;
-                if staged >= w.delta {
-                    engine.evict_oldest(staged);
-                    self.staged.store(0, Ordering::SeqCst);
-                    cce_obs::counter!("cce_serve_window_slides_total").inc();
-                }
-            }
-        }
-        engine.len()
-    }
-
     fn healthz(&self) -> Response {
-        let engine = self
-            .batcher
-            .engine()
-            .read()
-            .unwrap_or_else(|e| e.into_inner());
-        let m = self.with_ingest(|i| (i.monitor().n_seen(), i.is_durable()));
-        // When disk-backed, surface the page cache so operators can see
-        // residency and hit rate without scraping /metrics.
-        let pagestore = match &self.paged {
-            Some(p) => {
-                let s = p.stats();
-                format!(
-                    ",\"pagestore\":{{\"store_rows\":{},\"resident_bytes\":{},\"budget_bytes\":{},\"hits\":{},\"misses\":{},\"evictions\":{},\"hit_rate\":{}}}",
-                    p.rows(),
-                    s.resident_bytes,
-                    s.budget_bytes,
-                    s.hits,
-                    s.misses,
-                    s.evictions,
-                    s.hit_rate(),
-                )
-            }
-            None => String::new(),
-        };
-        // Sharded: the authoritative row count lives with the router, and
-        // operators need shard liveness at a glance.
-        let (rows, shards) = match &self.sharded {
-            Some(s) => (
-                s.total_rows() as usize,
-                format!(
-                    ",\"shards\":{{\"total\":{},\"up\":{}}}",
-                    s.n_shards(),
-                    s.shards_up(),
-                ),
-            ),
-            None => (engine.len(), String::new()),
+        let (ingested, durable) = {
+            let i = self.ingest.lock().unwrap_or_else(|e| e.into_inner());
+            (i.monitor().n_seen(), i.is_durable())
         };
         Response::json(
             200,
             format!(
-                "{{\"status\":\"ok\",\"rows\":{},\"features\":{},\"alpha\":{},\"version\":{},\"tombstones\":{},\"queue_depth\":{},\"ingested\":{},\"durable\":{},\"draining\":{}{shards}{pagestore}}}",
-                rows,
-                engine.schema().n_features(),
-                engine.alpha().get(),
-                engine.version(),
-                engine.tombstones(),
-                self.batcher.depth(),
-                m.0,
-                m.1,
+                "{{\"status\":\"ok\",{},\"features\":{},\"alpha\":{},\"ingested\":{ingested},\"durable\":{durable},\"draining\":{}}}",
+                self.backend.health(),
+                self.schema.n_features(),
+                self.backend.alpha().get(),
                 self.draining(),
             ),
         )
@@ -453,22 +274,12 @@ impl<V: Vfs> App<V> {
         self.begin_drain();
         Response::json(200, "{\"status\":\"draining\"}".to_string())
     }
+}
 
-    /// Chaos hook: kills one random live shard worker. Only honored when
-    /// the daemon was started with chaos testing enabled (`--chaos`).
-    fn chaos_kill(&self) -> Response {
-        match &self.sharded {
-            Some(s) if s.chaos_enabled() => {
-                if s.kill_random_shard() {
-                    Response::json(200, "{\"status\":\"killed\"}".to_string())
-                } else {
-                    Response::error_json(503, "shard supervisor unavailable")
-                }
-            }
-            Some(_) => Response::error_json(403, "chaos endpoints disabled"),
-            None => Response::error_json(404, "not serving sharded"),
-        }
-    }
+/// The one drain refusal: once draining, no new explain or ingest is
+/// taken.
+fn draining_response() -> Response {
+    Response::error_json(503, "server is draining")
 }
 
 /// Stamps a sharded response as explicitly partial: injects the

@@ -1,4 +1,4 @@
-//! The request-coalescing queue feeding explain micro-batches.
+//! The in-RAM backend: a request-coalescing queue over the live engine.
 //!
 //! Concurrent `POST /explain` requests land in one queue; a single
 //! batcher thread drains it in micro-batches bounded by `max_batch` and
@@ -10,21 +10,24 @@
 //! invisible in the response bytes (the coalescing differential test
 //! proves them identical to per-request [`Srk::explain`]).
 //!
-//! The queue is also the admission-control sensor: submit feeds the
-//! post-enqueue depth to the [`Admission`] machine (shedding with `429`
-//! happens *before* enqueueing), and the drain path feeds the backlog
-//! left behind, which decides whether the next batch runs degraded.
+//! Every job carries the budget admission granted it; a batch that
+//! straddles a level change runs as one engine pass per budget. The
+//! queue depth is this backend's load. Acknowledged ingests join the
+//! engine as insert deltas, sliding the context in ΔI granules when a
+//! [`LiveWindow`] bounds it.
 //!
 //! [`Srk::explain`]: cce_core::Srk::explain
 
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
 use std::time::{Duration, Instant};
 
-use cce_core::{BatchEngine, BudgetedKey, ExplainError, WorkBudget};
+use cce_core::{Alpha, BatchEngine, BudgetedKey, ExplainError, WorkBudget};
+use cce_dataset::{Instance, Label};
 
-use crate::admission::{Admission, AdmissionConfig, Level};
+use crate::backend::{Answer, Backend};
 
 /// Coalescing parameters.
 #[derive(Debug, Clone, Copy)]
@@ -50,18 +53,20 @@ impl Default for BatcherConfig {
     }
 }
 
-/// What happened to a submitted explain request.
-pub enum Submission {
-    /// Accepted; await the result on the receiver.
-    Enqueued(mpsc::Receiver<Result<BudgetedKey, ExplainError>>),
-    /// Refused by admission control (respond `429`).
-    Shed,
-    /// The queue is closed for drain (respond `503`).
-    Closed,
+/// Sliding bound on the live ingest context: once the engine holds more
+/// than `capacity` rows, every `delta` further arrivals evict the
+/// `delta` oldest — each a tombstone delta, never a rebuild.
+#[derive(Debug, Clone, Copy)]
+pub struct LiveWindow {
+    /// Live rows beyond which the context starts sliding.
+    pub capacity: usize,
+    /// ΔI: evictions happen in granules of this many rows.
+    pub delta: usize,
 }
 
 struct Job {
     target: usize,
+    budget: WorkBudget,
     tx: mpsc::Sender<Result<BudgetedKey, ExplainError>>,
 }
 
@@ -70,7 +75,7 @@ struct QueueState {
     open: bool,
 }
 
-/// The coalescing queue plus its drain loop.
+/// The coalescing queue, its drain loop, and the live context's window.
 ///
 /// The engine sits behind an `RwLock` so the ingest path can apply
 /// context **deltas** concurrently with serving: explain batches take
@@ -78,23 +83,32 @@ struct QueueState {
 /// patch is microseconds — no index rebuild happens on either side).
 pub struct Batcher {
     engine: Arc<RwLock<BatchEngine>>,
-    admission: Admission,
+    alpha: Alpha,
     cfg: BatcherConfig,
+    /// Optional ΔI bound on the live context (`None` → it only grows).
+    window: Option<LiveWindow>,
+    /// Arrivals past capacity awaiting the next ΔI slide; mutated only
+    /// under the engine write lock.
+    staged: AtomicUsize,
     state: Mutex<QueueState>,
     cv: Condvar,
 }
 
 impl Batcher {
-    /// A new open queue over `engine`.
+    /// A new open queue over `engine`; `window`, when set, bounds the
+    /// live ingest context by ΔI slides.
     pub fn new(
         engine: Arc<RwLock<BatchEngine>>,
         cfg: BatcherConfig,
-        admission: AdmissionConfig,
+        window: Option<LiveWindow>,
     ) -> Self {
+        let alpha = engine.read().unwrap_or_else(|e| e.into_inner()).alpha();
         Self {
             engine,
-            admission: Admission::new(admission),
+            alpha,
             cfg,
+            window,
+            staged: AtomicUsize::new(0),
             state: Mutex::new(QueueState {
                 queue: VecDeque::new(),
                 open: true,
@@ -108,73 +122,8 @@ impl Batcher {
         &self.engine
     }
 
-    /// The admission machine (for health reporting).
-    pub fn admission(&self) -> &Admission {
-        &self.admission
-    }
-
     fn lock(&self) -> MutexGuard<'_, QueueState> {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Submits one target for explanation. Sheds *before* enqueueing when
-    /// the admission machine says so, so a 429 costs no queue slot.
-    pub fn submit(&self, target: usize) -> Submission {
-        let mut st = self.lock();
-        if !st.open {
-            return Submission::Closed;
-        }
-        let level = self.admission.observe(st.queue.len() + 1);
-        if level == Level::Shedding {
-            cce_obs::counter!("cce_serve_shed_total").inc();
-            return Submission::Shed;
-        }
-        let (tx, rx) = mpsc::channel();
-        st.queue.push_back(Job { target, tx });
-        cce_obs::gauge!("cce_serve_queue_depth").set(st.queue.len() as i64);
-        drop(st);
-        self.cv.notify_all();
-        Submission::Enqueued(rx)
-    }
-
-    /// Current queue depth (tests and `/healthz`).
-    pub fn depth(&self) -> usize {
-        self.lock().queue.len()
-    }
-
-    /// Closes the queue: new submits get [`Submission::Closed`]; the run
-    /// loop drains what is already queued, then returns.
-    pub fn close(&self) {
-        self.lock().open = false;
-        self.cv.notify_all();
-    }
-
-    /// The batcher thread body: drains micro-batches until the queue is
-    /// closed *and* empty. Every dequeued job is answered — even during
-    /// drain — so no accepted request is ever dropped.
-    pub fn run(&self) {
-        loop {
-            let batch = self.next_batch();
-            let Some(batch) = batch else { return };
-            let budget = self.admission.budget();
-            if budget != WorkBudget::unlimited() {
-                cce_obs::counter!("cce_serve_degraded_batches_total").inc();
-            }
-            cce_obs::histogram!("cce_serve_batch_size").record(batch.len() as u64);
-            let targets: Vec<usize> = batch.iter().map(|j| j.target).collect();
-            let t0 = Instant::now();
-            let results = self
-                .engine
-                .read()
-                .unwrap_or_else(|e| e.into_inner())
-                .explain_batch(&targets, budget, self.cfg.threads);
-            cce_obs::histogram!("cce_serve_batch_explain_ns")
-                .record(t0.elapsed().as_nanos() as u64);
-            for (job, result) in batch.into_iter().zip(results) {
-                // A receiver may have given up (client gone); that is fine.
-                let _ = job.tx.send(result);
-            }
-        }
     }
 
     /// Blocks for the next micro-batch; `None` means closed and drained.
@@ -209,10 +158,106 @@ impl Batcher {
         let take = st.queue.len().min(self.cfg.max_batch);
         let batch: Vec<Job> = st.queue.drain(..take).collect();
         cce_obs::gauge!("cce_serve_queue_depth").set(st.queue.len() as i64);
-        // The backlog left behind decides this batch's fidelity: a deep
-        // residue means the server is behind, so the drained batch runs
-        // under the degraded budget.
-        self.admission.observe(st.queue.len());
         Some(batch)
+    }
+}
+
+impl Backend for Batcher {
+    fn alpha(&self) -> Alpha {
+        self.alpha
+    }
+
+    fn load(&self) -> usize {
+        self.lock().queue.len()
+    }
+
+    fn explain(&self, target: usize, budget: WorkBudget) -> Answer {
+        let (tx, rx) = mpsc::channel();
+        {
+            let mut st = self.lock();
+            if !st.open {
+                return Answer::Closed;
+            }
+            st.queue.push_back(Job { target, budget, tx });
+            cce_obs::gauge!("cce_serve_queue_depth").set(st.queue.len() as i64);
+        }
+        self.cv.notify_all();
+        match rx.recv() {
+            Ok(result) => Answer::Done {
+                result,
+                missing_shards: Vec::new(),
+            },
+            // The batcher thread died without answering.
+            Err(_) => Answer::Failed,
+        }
+    }
+
+    /// Joins the arrival to the live context as an insert delta, plus
+    /// any due ΔI slide; returns the live row count.
+    fn ingest(&self, x: Instance, pred: Label) -> usize {
+        let mut engine = self.engine.write().unwrap_or_else(|e| e.into_inner());
+        if engine.push(x, pred).is_err() {
+            // Unreachable when monitor and context share a schema, but a
+            // mismatched arrival must not poison the serving context.
+            cce_obs::counter!("cce_serve_live_push_rejected_total").inc();
+            return engine.len();
+        }
+        if let Some(w) = self.window {
+            if engine.len() > w.capacity {
+                let staged = self.staged.fetch_add(1, Ordering::SeqCst) + 1;
+                if staged >= w.delta {
+                    engine.evict_oldest(staged);
+                    self.staged.store(0, Ordering::SeqCst);
+                    cce_obs::counter!("cce_serve_window_slides_total").inc();
+                }
+            }
+        }
+        engine.len()
+    }
+
+    fn health(&self) -> String {
+        let engine = self.engine.read().unwrap_or_else(|e| e.into_inner());
+        format!(
+            "\"rows\":{},\"version\":{},\"tombstones\":{},\"queue_depth\":{}",
+            engine.len(),
+            engine.version(),
+            engine.tombstones(),
+            self.load(),
+        )
+    }
+
+    /// The batcher thread body: drains micro-batches until the queue is
+    /// closed *and* empty. Every dequeued job is answered — even during
+    /// drain — so no accepted request is ever dropped.
+    fn run(&self) {
+        while let Some(batch) = self.next_batch() {
+            cce_obs::histogram!("cce_serve_batch_size").record(batch.len() as u64);
+            for group in batch.chunk_by(|a, b| a.budget == b.budget) {
+                let budget = group[0].budget;
+                if budget != WorkBudget::unlimited() {
+                    cce_obs::counter!("cce_serve_degraded_batches_total").inc();
+                }
+                let targets: Vec<usize> = group.iter().map(|j| j.target).collect();
+                let t0 = Instant::now();
+                let results = self
+                    .engine
+                    .read()
+                    .unwrap_or_else(|e| e.into_inner())
+                    .explain_batch(&targets, budget, self.cfg.threads);
+                cce_obs::histogram!("cce_serve_batch_explain_ns")
+                    .record(t0.elapsed().as_nanos() as u64);
+                for (job, result) in group.iter().zip(results) {
+                    // A receiver may have given up (client gone); that is fine.
+                    let _ = job.tx.send(result);
+                }
+            }
+        }
+    }
+
+    /// Closes the queue: new explains get [`Answer::Closed`]; the run
+    /// loop drains what is already queued, then returns.
+    fn close(&self) {
+        self.lock().open = false;
+        self.cv.notify_all();
     }
 }

@@ -6,15 +6,21 @@
 //! engine. Every production substrate the repo already has is wired
 //! through it:
 //!
-//! * concurrent `POST /explain` requests **coalesce** into micro-batches
+//! * `POST /explain` goes through one [`Backend`] ([`backend`]): the
+//!   in-RAM [`Batcher`] coalesces concurrent requests into micro-batches
 //!   over the shared [`BatchEngine`], exploiting duplicate-row
-//!   memoization *across requests* ([`batcher`]);
-//! * overload triggers **budgeted admission control** — degraded partial
-//!   keys via [`WorkBudget`]s, then `429` shedding — with an explicit
-//!   hysteresis state machine ([`admission`]);
+//!   memoization *across requests* ([`batcher`]); a converted store
+//!   answers out-of-core ([`store`]); shard workers answer by
+//!   scatter/gather ([`shard`]);
+//! * overload triggers **budgeted admission control** over the
+//!   backend's load — degraded partial keys via [`WorkBudget`]s, then
+//!   `429` shedding — with an explicit hysteresis state machine
+//!   ([`admission`]);
 //! * `POST /monitor/ingest` runs the online monitor behind the
 //!   [`Durable`] WAL wrapper, so an HTTP `200` *is* a durability
-//!   acknowledgment that survives `kill -9` ([`ingest`]);
+//!   acknowledgment that survives `kill -9` ([`ingest`]); the ack's
+//!   `context_rows` counts the context `/explain` answers from (a store
+//!   is read-only: its ingest feeds only the monitor);
 //! * `GET /metrics` exposes the whole `cce-obs` registry in Prometheus
 //!   text format, including per-endpoint latency histograms and
 //!   queue-depth gauges;
@@ -29,6 +35,7 @@
 
 pub mod admission;
 pub mod app;
+pub mod backend;
 pub mod batcher;
 pub mod http;
 pub mod ingest;
@@ -38,8 +45,9 @@ pub mod shard;
 pub mod store;
 
 pub use admission::{Admission, AdmissionConfig, Level};
-pub use app::{explain_response, App, LiveWindow};
-pub use batcher::{Batcher, BatcherConfig, Submission};
+pub use app::{explain_response, App};
+pub use backend::{Answer, Backend};
+pub use batcher::{Batcher, BatcherConfig, LiveWindow};
 pub use ingest::{IngestAck, IngestError, IngestState, MonitorBackend};
 pub use server::{Server, ServerConfig};
 pub use store::PagedBackend;
@@ -49,6 +57,8 @@ use std::sync::{Arc, RwLock};
 use cce_core::engine::EngineConfig;
 use cce_core::persist::Vfs;
 use cce_core::{Alpha, BatchEngine, Context, PagedContextIndex};
+
+use crate::store::StoreBackend;
 
 /// Assembles an [`App`] from its parts: engine over `ctx`, coalescing
 /// batcher, and an ingest state over `backend`. The CLI, the tests, and
@@ -85,58 +95,46 @@ pub fn build_app_with<V: Vfs>(
     backend: MonitorBackend<V>,
     window: Option<LiveWindow>,
 ) -> Arc<App<V>> {
-    let width = ctx.schema().n_features();
+    let schema = ctx.schema_arc();
     let engine = Arc::new(RwLock::new(BatchEngine::with_config(
         ctx, alpha, engine_cfg,
     )));
-    let batcher = Arc::new(Batcher::new(engine, batcher_cfg, admission_cfg));
-    Arc::new(App::new(batcher, IngestState::new(backend, width), window))
+    let batcher = Arc::new(Batcher::new(engine, batcher_cfg, window));
+    Arc::new(App::new(batcher, schema, admission_cfg, backend))
 }
 
-/// [`build_app_with`] plus a disk-backed explain backend: `/explain`
-/// answers from the paged store (through the LRU page cache) while
-/// ingest/monitor still run over the live `ctx`. The store and the
-/// monitor share one [`Vfs`] type, so fault injection covers both.
+/// An [`App`] over a disk-backed store, a read-only context: `/explain`
+/// answers from the paged index through the LRU page cache, and ingest
+/// feeds only the monitor. `ctx` should be an empty context over the
+/// store's schema; the store and the monitor share one [`Vfs`] type, so
+/// fault injection covers both. There is no engine, queue or window to
+/// configure (`cce serve` rejects `--store` with `--window`).
 #[allow(clippy::too_many_arguments)]
-pub fn build_app_paged<V: Vfs>(
+pub fn build_app_paged<V: Vfs + Send + 'static>(
     ctx: Context,
     alpha: Alpha,
-    engine_cfg: EngineConfig,
-    batcher_cfg: BatcherConfig,
+    _engine_cfg: EngineConfig,
+    _batcher_cfg: BatcherConfig,
     admission_cfg: AdmissionConfig,
     backend: MonitorBackend<V>,
-    window: Option<LiveWindow>,
+    _window: Option<LiveWindow>,
     paged: PagedContextIndex<V>,
 ) -> Arc<App<V>> {
-    let width = ctx.schema().n_features();
-    let engine = Arc::new(RwLock::new(BatchEngine::with_config(
-        ctx, alpha, engine_cfg,
-    )));
-    let batcher = Arc::new(Batcher::new(engine, batcher_cfg, admission_cfg));
-    Arc::new(
-        App::new(batcher, IngestState::new(backend, width), window)
-            .with_paged(PagedBackend::new(paged)),
-    )
+    let store = Arc::new(StoreBackend::new(PagedBackend::new(paged), alpha));
+    Arc::new(App::new(store, ctx.schema_arc(), admission_cfg, backend))
 }
 
-/// [`build_app`] over a sharded scatter/gather backend: `/explain` and
-/// live ingest route to supervised shard workers; the local engine exists
-/// only to carry the schema for ingest validation and health reporting.
-/// `ctx` should be an empty context over the serving schema.
+/// An [`App`] over a sharded scatter/gather backend: `/explain` and
+/// live ingest route to supervised shard workers. `ctx` should be an
+/// empty context over the serving schema; `alpha` and `batcher_cfg` are
+/// unused (the router carries its own α, and there is no queue).
 pub fn build_app_sharded<V: Vfs>(
     ctx: Context,
-    alpha: Alpha,
-    batcher_cfg: BatcherConfig,
+    _alpha: Alpha,
+    _batcher_cfg: BatcherConfig,
     admission_cfg: AdmissionConfig,
     backend: MonitorBackend<V>,
     sharded: Arc<shard::ShardedBackend>,
 ) -> Arc<App<V>> {
-    let width = ctx.schema().n_features();
-    let engine = Arc::new(RwLock::new(BatchEngine::with_config(
-        ctx,
-        alpha,
-        EngineConfig::default(),
-    )));
-    let batcher = Arc::new(Batcher::new(engine, batcher_cfg, admission_cfg));
-    Arc::new(App::new(batcher, IngestState::new(backend, width), None).with_sharded(sharded))
+    Arc::new(App::new(sharded, ctx.schema_arc(), admission_cfg, backend))
 }

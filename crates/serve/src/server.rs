@@ -3,7 +3,8 @@
 //! Hand-rolled over `std::net::TcpListener` + `std::thread::scope` (the
 //! workspace has no async runtime and no registry access). One scoped
 //! thread per connection (capped; excess connections get an immediate
-//! `503`), one batcher thread draining the coalescing queue.
+//! `503`), one thread running the backend's worker loop (the in-RAM
+//! batcher's coalescing queue; other backends have none).
 //!
 //! # Drain protocol (SIGTERM-equivalent)
 //!
@@ -16,8 +17,9 @@
 //! 2. **Finish in-flight** — connection threads stop keep-alive reuse
 //!    (`Connection: close` on every response once draining) and are
 //!    joined; blocked keep-alive reads expire via the read timeout.
-//! 3. **Flush the batch queue** — the batcher queue closes, every
-//!    already-accepted explain is answered, then the batcher exits.
+//! 3. **Close the backend** — the in-RAM queue closes and every
+//!    already-accepted explain is answered before the batcher exits;
+//!    a sharded backend stops its supervisor and workers.
 //! 4. **Final checkpoint** — the durable monitor rotates one last
 //!    snapshot, so a clean restart replays zero WAL records.
 
@@ -144,8 +146,8 @@ impl<V: Vfs + Send> Server<V> {
         let active = AtomicUsize::new(0);
         let active = &active;
         std::thread::scope(|s| {
-            let batcher = Arc::clone(app.batcher());
-            let batcher_thread = s.spawn(move || batcher.run());
+            let backend = Arc::clone(app.batcher());
+            let backend_thread = s.spawn(move || backend.run());
             let mut connections = Vec::new();
             for stream in self.listener.incoming() {
                 if app.draining() {
@@ -171,15 +173,13 @@ impl<V: Vfs + Send> Server<V> {
             }
             // Draining: no new connections. Join the existing ones (their
             // keep-alive loops exit on the next response or read timeout),
-            // then flush the queue.
+            // then close the backend: the in-RAM queue flushes, shard
+            // workers stop only after every in-flight scatter is answered.
             for c in connections {
                 let _ = c.join();
             }
             app.batcher().close();
-            let _ = batcher_thread.join();
-            // Sharded: stop the supervisor and workers only after every
-            // in-flight scatter has been answered.
-            app.stop_shards();
+            let _ = backend_thread.join();
         });
         self.app
             .final_checkpoint()

@@ -33,12 +33,15 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use cce_core::greedy::{self, CandidateHeap, CountSource};
-use cce_core::{Alpha, BudgetedKey, ExplainError, WorkBudget};
+use cce_core::{Alpha, ExplainError, WorkBudget};
+use cce_dataset::{Instance, Label};
 
 use super::client::ShardClient;
 use super::shard_of;
 use super::supervisor::SupervisorHandle;
 use super::wire::{Req, Resp};
+use crate::backend::{Answer, Backend};
+use crate::http::Response;
 
 /// The in-memory ingest record the supervisor replays into a respawned
 /// worker: every accepted live row, as `(global_index, values,
@@ -91,27 +94,9 @@ impl IngestLog {
     }
 }
 
-/// What a sharded explain produced.
-#[derive(Debug)]
-pub enum ShardedAnswer {
-    /// An answer was computed — over all shards (`missing_shards` empty,
-    /// byte-identical to the single-process engine) or over the
-    /// surviving subset (explicitly partial).
-    Done {
-        /// The engine-shaped result, renderable by the existing
-        /// `explain_response`.
-        result: Result<BudgetedKey, ExplainError>,
-        /// Shards that contributed nothing, ascending. Empty ⇒ complete.
-        missing_shards: Vec<usize>,
-    },
-    /// The target row's owner shard (or every shard) was unreachable:
-    /// there is no sub-context to answer from. Retryable — the
-    /// supervisor is respawning.
-    Unavailable {
-        /// The unreachable shards, ascending.
-        missing_shards: Vec<usize>,
-    },
-}
+/// What a sharded explain produced: the daemon's [`Answer`] (a sharded
+/// explain never answers [`Answer::Closed`]).
+pub use crate::backend::Answer as ShardedAnswer;
 
 /// One round's gathered sums.
 struct Gathered {
@@ -184,33 +169,6 @@ impl ShardedBackend {
         self.total_rows.load(Ordering::SeqCst)
     }
 
-    /// The configured conformity bound.
-    #[must_use]
-    pub fn alpha(&self) -> Alpha {
-        self.alpha
-    }
-
-    /// Whether the kill-shard chaos endpoint is enabled.
-    #[must_use]
-    pub fn chaos_enabled(&self) -> bool {
-        self.chaos
-    }
-
-    /// Current scatter concurrency (requests inside [`Self::explain`]).
-    #[must_use]
-    pub fn inflight(&self) -> usize {
-        self.inflight.load(Ordering::SeqCst)
-    }
-
-    /// Asks the supervisor to kill one random live worker (chaos
-    /// testing). Returns false when no supervisor is attached.
-    pub fn kill_random_shard(&self) -> bool {
-        match &*self.supervisor.lock().unwrap_or_else(|e| e.into_inner()) {
-            Some(h) => h.kill_random(),
-            None => false,
-        }
-    }
-
     /// Stops the supervisor and all workers (drain path). Idempotent.
     pub fn stop(&self) {
         if let Some(h) = self
@@ -230,7 +188,7 @@ impl ShardedBackend {
     /// accepted row is never silently absent once the shard is healthy.
     ///
     /// Returns `(global_index, total_rows_after)`.
-    pub fn push(self: &Arc<Self>, x: Vec<u32>, pred: u32) -> (u64, u64) {
+    pub fn push(&self, x: Vec<u32>, pred: u32) -> (u64, u64) {
         let global = self.total_rows.fetch_add(1, Ordering::SeqCst);
         self.log.append(global, x.clone(), pred);
         let owner = shard_of(global, self.n_shards());
@@ -252,7 +210,7 @@ impl ShardedBackend {
     /// to the single-process engine over the same rows. With shards down
     /// or failing mid-request, the greedy restarts over the surviving
     /// partitions and the answer is labeled with the missing shards.
-    pub fn explain(self: &Arc<Self>, target: u64, budget: WorkBudget) -> ShardedAnswer {
+    pub fn explain(&self, target: u64, budget: WorkBudget) -> ShardedAnswer {
         self.inflight.fetch_add(1, Ordering::SeqCst);
         let answer = self.explain_inner(target, budget);
         self.inflight.fetch_sub(1, Ordering::SeqCst);
@@ -264,7 +222,7 @@ impl ShardedBackend {
         answer
     }
 
-    fn explain_inner(self: &Arc<Self>, target: u64, budget: WorkBudget) -> ShardedAnswer {
+    fn explain_inner(&self, target: u64, budget: WorkBudget) -> ShardedAnswer {
         let n_shards = self.n_shards();
         // Shards already known-down are excluded from the start; shards
         // that fail mid-request join them and trigger a restart.
@@ -337,6 +295,57 @@ impl ShardedBackend {
                 }
                 Err(failed) => excluded.push(failed),
             }
+        }
+    }
+}
+
+impl Backend for ShardedBackend {
+    fn alpha(&self) -> Alpha {
+        self.alpha
+    }
+
+    /// Scatter concurrency: requests inside [`ShardedBackend::explain`].
+    fn load(&self) -> usize {
+        self.inflight.load(Ordering::SeqCst)
+    }
+
+    fn explain(&self, target: usize, budget: WorkBudget) -> Answer {
+        ShardedBackend::explain(self, target as u64, budget)
+    }
+
+    /// Forwards the row to its owner shard (and the replay log); returns
+    /// the new global row count.
+    fn ingest(&self, x: Instance, pred: Label) -> usize {
+        self.push(x.values().to_vec(), pred.0).1 as usize
+    }
+
+    fn health(&self) -> String {
+        format!(
+            "\"rows\":{},\"shards\":{{\"total\":{},\"up\":{}}}",
+            self.total_rows(),
+            self.n_shards(),
+            self.shards_up(),
+        )
+    }
+
+    /// Stops the supervisor and workers — only after every in-flight
+    /// scatter has been answered, since the server closes the backend
+    /// after joining its connections.
+    fn close(&self) {
+        self.stop();
+    }
+
+    /// Kills one random live shard worker, when the daemon was started
+    /// with chaos testing enabled (`--chaos`).
+    fn chaos_kill(&self) -> Response {
+        if !self.chaos {
+            return Response::error_json(403, "chaos endpoints disabled");
+        }
+        match &*self.supervisor.lock().unwrap_or_else(|e| e.into_inner()) {
+            Some(h) if h.kill_random() => {
+                Response::json(200, "{\"status\":\"killed\"}".to_string())
+            }
+            _ => Response::error_json(503, "shard supervisor unavailable"),
         }
     }
 }

@@ -50,6 +50,26 @@ fn plain_app(
     build_app(ctx, alpha, batcher_cfg, admission_cfg, backend)
 }
 
+/// Builds an app over a store converted from `ctx`, wired exactly as
+/// `cce serve --store` wires it.
+fn store_app(ctx: &Context, admission_cfg: AdmissionConfig) -> Arc<App<MemVfs>> {
+    let alpha = Alpha::new(ALPHA).expect("valid alpha");
+    let mut vfs = MemVfs::new();
+    cce_core::pagestore::write_store(&mut vfs, "loan.pg", ctx, 4096, &[]).expect("convert");
+    let paged = cce_core::PagedContextIndex::open(vfs, "loan.pg", 1 << 22).expect("open store");
+    let empty = Context::new(ctx.schema_arc(), Vec::new(), Vec::new());
+    cce_serve::build_app_paged(
+        empty,
+        alpha,
+        cce_core::engine::EngineConfig::default(),
+        BatcherConfig::default(),
+        admission_cfg,
+        MonitorBackend::Plain(monitor_for(ctx, alpha)),
+        None,
+        paged,
+    )
+}
+
 struct Daemon {
     addr: SocketAddr,
     handle: std::thread::JoinHandle<io::Result<()>>,
@@ -212,25 +232,25 @@ GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n";
 fn shedding_config_returns_429_with_retry_hint() {
     let ctx = loan_ctx(80);
     // shed_depth = 0: admission refuses every explain deterministically.
-    let app = plain_app(
-        ctx,
-        BatcherConfig::default(),
-        AdmissionConfig {
-            shed_depth: 0,
-            degrade_depth: 0,
-            degrade_budget: 1,
-        },
-    );
-    let daemon = start(app);
-    for _ in 0..3 {
-        let (status, body) = roundtrip(daemon.addr, "POST", "/explain", "{\"target\":1}");
-        assert_eq!(status, 429);
-        assert!(body.contains("\"status\":\"shed\""), "{body}");
+    let admission = AdmissionConfig {
+        shed_depth: 0,
+        degrade_depth: 0,
+        degrade_budget: 1,
+    };
+    let app = plain_app(ctx.clone(), BatcherConfig::default(), admission);
+    // Store mode goes through the same admission machine.
+    for app in [app, store_app(&ctx, admission)] {
+        let daemon = start(app);
+        for _ in 0..3 {
+            let (status, body) = roundtrip(daemon.addr, "POST", "/explain", "{\"target\":1}");
+            assert_eq!(status, 429);
+            assert!(body.contains("\"status\":\"shed\""), "{body}");
+        }
+        // Non-explain routes are unaffected by shedding.
+        let (status, _) = roundtrip(daemon.addr, "GET", "/healthz", "");
+        assert_eq!(status, 200);
+        daemon.stop();
     }
-    // Non-explain routes are unaffected by shedding.
-    let (status, _) = roundtrip(daemon.addr, "GET", "/healthz", "");
-    assert_eq!(status, 200);
-    daemon.stop();
 }
 
 #[test]
@@ -252,26 +272,66 @@ fn degraded_admission_serves_partial_keys_with_explicit_status() {
     // degrade_depth = 0 with an unreachable shed_depth: every batch runs
     // under the tiny degrade budget, so responses carry the degraded
     // status honestly instead of silently serving partial keys.
-    let app = plain_app(
-        ctx,
-        BatcherConfig::default(),
-        AdmissionConfig {
-            shed_depth: usize::MAX,
-            degrade_depth: 0,
-            degrade_budget: 1,
-        },
+    let admission = AdmissionConfig {
+        shed_depth: usize::MAX,
+        degrade_depth: 0,
+        degrade_budget: 1,
+    };
+    let app = plain_app(ctx.clone(), BatcherConfig::default(), admission);
+    // Store mode takes the same degraded budget; in both modes the
+    // partial key is the oracle's under that budget.
+    let oracle = explain_response(
+        target,
+        alpha,
+        &srk.explain_naive_budgeted(&ctx, target, budget),
     );
-    let daemon = start(app);
-    let (status, body) = roundtrip(
-        daemon.addr,
-        "POST",
-        "/explain",
-        &format!("{{\"target\":{target}}}"),
-    );
+    for app in [app, store_app(&ctx, admission)] {
+        let daemon = start(app);
+        let (status, body) = roundtrip(
+            daemon.addr,
+            "POST",
+            "/explain",
+            &format!("{{\"target\":{target}}}"),
+        );
+        assert_eq!(status, 200);
+        assert!(body.contains("\"status\":\"degraded\""), "{body}");
+        assert!(body.contains("\"spent\":"), "{body}");
+        assert!(body.contains("\"remaining_violators\":"), "{body}");
+        assert_eq!(body.as_bytes(), oracle.body, "answer under a 1-scan budget");
+        daemon.stop();
+    }
+}
+
+/// Store-mode ingest feeds the monitor only: the store stays the context
+/// `/explain` answers from, so every ack and `/healthz` count its rows
+/// and explains do not move.
+#[test]
+fn store_mode_ingest_feeds_only_the_monitor() {
+    let ctx = loan_ctx(200);
+    let daemon = start(store_app(&ctx, AdmissionConfig::default()));
+    let before = roundtrip(daemon.addr, "POST", "/explain", "{\"target\":0}");
+    for r in 1..=3 {
+        let values: Vec<String> = ctx
+            .instance(r)
+            .values()
+            .iter()
+            .map(|c| c.to_string())
+            .collect();
+        let body = format!(
+            "{{\"values\":[{}],\"prediction\":{}}}",
+            values.join(","),
+            ctx.prediction(r).0
+        );
+        let (status, resp) = roundtrip(daemon.addr, "POST", "/monitor/ingest", &body);
+        assert_eq!(status, 200, "{resp}");
+        assert!(resp.contains(&format!("\"n_seen\":{r}")), "{resp}");
+        assert!(resp.contains("\"context_rows\":200"), "{resp}");
+    }
+    let (status, health) = roundtrip(daemon.addr, "GET", "/healthz", "");
     assert_eq!(status, 200);
-    assert!(body.contains("\"status\":\"degraded\""), "{body}");
-    assert!(body.contains("\"spent\":"), "{body}");
-    assert!(body.contains("\"remaining_violators\":"), "{body}");
+    assert!(health.contains("\"rows\":200"), "{health}");
+    let after = roundtrip(daemon.addr, "POST", "/explain", "{\"target\":0}");
+    assert_eq!(after, before, "ingest must not move the store context");
     daemon.stop();
 }
 
@@ -354,13 +414,17 @@ fn ingest_acks_and_metrics_flow_end_to_end() {
 /// live explanation context via in-place deltas (no rebuild), the
 /// `--window` bound slides it in ΔI granules, and freshly ingested rows
 /// are immediately explainable with results identical to a from-scratch
-/// SRK over the materialized context.
+/// SRK over the live context: the newest `live` arrivals, in order.
 #[test]
 fn ingested_arrivals_are_immediately_explainable() {
     let initial = loan_ctx(40);
     let pool = loan_ctx(120);
     let alpha = Alpha::new(ALPHA).unwrap();
     let backend: MonitorBackend<MemVfs> = MonitorBackend::Plain(monitor_for(&initial, alpha));
+    let schema = initial.schema_arc();
+    let mut arrivals: Vec<_> = (0..40)
+        .map(|r| (initial.instance(r).clone(), initial.prediction(r)))
+        .collect();
     let app = build_app_with(
         initial,
         alpha,
@@ -390,6 +454,7 @@ fn ingested_arrivals_are_immediately_explainable() {
         );
         let (status, resp) = roundtrip(daemon.addr, "POST", "/monitor/ingest", &body);
         assert_eq!(status, 200, "{resp}");
+        arrivals.push((pool.instance(r).clone(), pool.prediction(r)));
         // The ack reports the live context; it must never exceed
         // capacity + ΔI and must track our model of the slide exactly.
         live += 1;
@@ -405,9 +470,8 @@ fn ingested_arrivals_are_immediately_explainable() {
 
     // A row that arrived via ingest is now a servable explain target,
     // and the served bytes match a fresh SRK over the live context.
-    let engine = app.batcher().engine().read().unwrap();
-    let ctx = engine.materialize();
-    drop(engine);
+    let (xs, ps) = arrivals[arrivals.len() - live..].iter().cloned().unzip();
+    let ctx = Context::new(schema, xs, ps);
     let srk = Srk::new(alpha);
     for t in [0, live / 2, live - 1] {
         let (status, body) = roundtrip(
@@ -437,6 +501,7 @@ fn ingest_rejects_out_of_cardinality_values_without_poisoning_context() {
     let initial = loan_ctx(40);
     let alpha = Alpha::new(ALPHA).unwrap();
     let backend: MonitorBackend<MemVfs> = MonitorBackend::Plain(monitor_for(&initial, alpha));
+    let n = initial.schema().n_features();
     let app = build_app_with(
         initial,
         alpha,
@@ -451,7 +516,6 @@ fn ingest_rejects_out_of_cardinality_values_without_poisoning_context() {
     );
     let daemon = start(Arc::clone(&app));
 
-    let n = app.batcher().engine().read().unwrap().schema().n_features();
     // Every feature gets a wildly out-of-range code.
     let values: Vec<String> = (0..n).map(|_| "4096".to_string()).collect();
     let body = format!("{{\"values\":[{}],\"prediction\":0}}", values.join(","));
