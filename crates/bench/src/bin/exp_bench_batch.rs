@@ -17,11 +17,11 @@
 //! memo hit rate, and the observability counters the optimizations move
 //! (`cce_explain_violator_scans_total`, `cce_lazy_greedy_skips_total`).
 //!
-//! A separate **large-context** entry exercises the SIMD + striped
-//! kernel path at production scale: one Loan context of 1 000 000 rows
-//! (200 000 in `--quick`), explained at ~512 sampled targets through
-//! [`ContextIndex::explain_striped`], reporting index build time and
-//! `explains_per_sec` — the number the kernel work moves.
+//! A separate **large-context** entry exercises the direct indexed path
+//! (SIMD kernels, one thread) at production scale: one Loan context of
+//! 1 000 000 rows (200 000 in `--quick`), explained at ~512 sampled
+//! targets through [`ContextIndex::explain_with`], reporting index build
+//! time and `explains_per_sec` — the number the kernel work moves.
 //!
 //! Flags / environment:
 //!
@@ -37,7 +37,7 @@
 
 use std::time::Instant;
 
-use cce_core::kernels::StripeConfig;
+use cce_bench::gate;
 use cce_core::{Alpha, Cce, CceConfig, Context, ContextIndex, ExplainScratch, Srk};
 use cce_dataset::{synth, BinSpec};
 
@@ -76,21 +76,6 @@ fn counter_value(name: &str, algo: Option<&str>) -> u64 {
             _ => 0,
         })
         .sum()
-}
-
-/// Nearest-rank percentile: the sample at 1-based rank `⌈pct·n⌉`,
-/// clamped to `[1, n]`. The previous `round((n-1)·pct)` index sat a
-/// half-step *below* the named order statistic (for 100 samples it read
-/// p99 from position 98.01 → rank 99 only by rounding luck, and p50
-/// from rank 50.5 → biased low), so p50/p99 systematically understated
-/// tail latency.
-fn percentile(sorted_ns: &[u64], pct: f64) -> u64 {
-    if sorted_ns.is_empty() {
-        return 0;
-    }
-    let n = sorted_ns.len();
-    let rank = (pct * n as f64).ceil() as usize;
-    sorted_ns[rank.clamp(1, n) - 1]
 }
 
 /// Runs `f` `reps` times and returns the fastest wall-clock seconds.
@@ -204,8 +189,8 @@ fn run_config(
         lazy_seq_rows_per_sec: n as f64 / lazy_secs,
         after_rows_per_sec: n as f64 / after_secs,
         speedup: before_secs / after_secs,
-        p50_ns: percentile(&per_key_ns, 0.50),
-        p99_ns: percentile(&per_key_ns, 0.99),
+        p50_ns: cce_obs::nearest_rank(&per_key_ns, 0.50),
+        p99_ns: cce_obs::nearest_rank(&per_key_ns, 0.99),
         violator_scans_before,
         violator_scans_after,
         lazy_skip_ratio: if denom == 0 {
@@ -218,16 +203,15 @@ fn run_config(
 
 /// The 1M-row (200k in quick mode) single-huge-context measurement:
 /// index build time plus sampled-target explain throughput through the
-/// striped kernel path.
+/// direct indexed path.
 struct LargeResult {
     dataset: &'static str,
     rows: usize,
     targets: usize,
     kernels: &'static str,
-    stripe_threads: usize,
     index_build_ms: f64,
     explains_per_sec: f64,
-    /// Fractional µs: at quick-mode sizes a striped explain is
+    /// Fractional µs: at quick-mode sizes an indexed explain is
     /// sub-microsecond, and integer-µs truncation reported `p50_us: 0`.
     p50_us: f64,
     p99_us: f64,
@@ -238,10 +222,9 @@ fn run_large(rows: usize) -> LargeResult {
     let ds = raw.encode(&BinSpec::uniform(10));
     let ctx = Context::from_recorded(&ds);
     let alpha = Alpha::ONE;
-    let stripes = StripeConfig::default();
 
     let t0 = Instant::now();
-    let idx = ContextIndex::with_stripes(&ctx, &stripes);
+    let idx = ContextIndex::new(&ctx);
     let index_build_ms = t0.elapsed().as_secs_f64() * 1_000.0;
 
     // Explaining every row of a 1M context would take the eager-scale
@@ -253,13 +236,13 @@ fn run_large(rows: usize) -> LargeResult {
     let mut scratch = ExplainScratch::new();
     // Warm-up pass (page in the postings, settle the kernel dispatch).
     for &t in targets.iter().take(32) {
-        let _ = idx.explain_striped(&ctx, t, alpha, &mut scratch, &stripes);
+        let _ = idx.explain_with(&ctx, t, alpha, &mut scratch);
     }
     let mut per_key_ns: Vec<u64> = Vec::with_capacity(targets.len());
     let t1 = Instant::now();
     for &t in &targets {
         let k0 = Instant::now();
-        let _ = idx.explain_striped(&ctx, t, alpha, &mut scratch, &stripes);
+        let _ = idx.explain_with(&ctx, t, alpha, &mut scratch);
         per_key_ns.push(k0.elapsed().as_nanos() as u64);
     }
     let secs = t1.elapsed().as_secs_f64();
@@ -269,24 +252,22 @@ fn run_large(rows: usize) -> LargeResult {
         rows,
         targets: targets.len(),
         kernels: cce_core::kernels::active().name,
-        stripe_threads: stripes.threads,
         index_build_ms,
         explains_per_sec: targets.len() as f64 / secs.max(1e-9),
-        p50_us: percentile(&per_key_ns, 0.50) as f64 / 1_000.0,
-        p99_us: percentile(&per_key_ns, 0.99) as f64 / 1_000.0,
+        p50_us: cce_obs::nearest_rank(&per_key_ns, 0.50) as f64 / 1_000.0,
+        p99_us: cce_obs::nearest_rank(&per_key_ns, 0.99) as f64 / 1_000.0,
     }
 }
 
 fn large_to_json(l: &LargeResult) -> String {
     format!(
         "  \"large_context\": {{\"dataset\": \"{}\", \"rows\": {}, \"targets\": {}, \
-         \"kernels\": \"{}\", \"stripe_threads\": {}, \"index_build_ms\": {:.1}, \
+         \"kernels\": \"{}\", \"index_build_ms\": {:.1}, \
          \"explains_per_sec\": {:.1}, \"p50_us\": {:.3}, \"p99_us\": {:.3}}},\n",
         l.dataset,
         l.rows,
         l.targets,
         l.kernels,
-        l.stripe_threads,
         l.index_build_ms,
         l.explains_per_sec,
         l.p50_us,
@@ -351,76 +332,11 @@ fn to_json(
     out
 }
 
-/// Extracts every `"<key>": <number>` occurrence from a JSON document, in
-/// document order — enough structure for the baseline comparison without
-/// a JSON dependency.
-fn extract_numbers(doc: &str, key: &str) -> Vec<f64> {
-    let needle = format!("\"{key}\":");
-    let mut out = Vec::new();
-    let mut rest = doc;
-    while let Some(pos) = rest.find(&needle) {
-        rest = &rest[pos + needle.len()..];
-        let num: String = rest
-            .trim_start()
-            .chars()
-            .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-' || *c == 'e')
-            .collect();
-        if let Ok(v) = num.parse::<f64>() {
-            out.push(v);
-        }
-    }
-    out
-}
-
-/// Compares one gated key between the current and baseline documents;
-/// returns the number of failures (0 = pass). A failure is either a
-/// regression past 20% or a **malformed baseline** — missing key, shape
-/// mismatch, zero/negative/NaN reference value. The old behavior of
-/// "skipping" on mismatch meant a truncated or hand-edited baseline
-/// silently disabled the gate; now it fails the build until the
-/// baseline is regenerated.
-fn check_key(current: &str, baseline: &str, key: &str) -> usize {
-    let cur = extract_numbers(current, key);
-    let base = extract_numbers(baseline, key);
-    if base.is_empty() {
-        eprintln!("GATE FAILURE: baseline has no \"{key}\" fields — regenerate the baseline");
-        return 1;
-    }
-    if cur.len() != base.len() {
-        eprintln!(
-            "GATE FAILURE: baseline shape mismatch for \"{key}\" ({} vs {} entries) — regenerate the baseline",
-            base.len(),
-            cur.len()
-        );
-        return 1;
-    }
-    let mut failures = 0;
-    for (i, (c, b)) in cur.iter().zip(&base).enumerate() {
-        if !(b.is_finite() && *b > 0.0) {
-            eprintln!(
-                "GATE FAILURE: \"{key}\" entry {i}: baseline value {b} is not a positive number"
-            );
-            failures += 1;
-            continue;
-        }
-        if *c < 0.8 * *b {
-            eprintln!(
-                "REGRESSION: \"{key}\" entry {i}: {c:.1} vs baseline {b:.1} (>{:.0}% drop)",
-                (1.0 - c / b) * 100.0
-            );
-            failures += 1;
-        } else {
-            eprintln!("ok: \"{key}\" entry {i}: {c:.1} vs baseline {b:.1}");
-        }
-    }
-    failures
-}
-
 /// Gates both the batch-engine throughput and the large-context explain
 /// rate; returns the total failure count (0 = pass).
 fn check_baseline(current: &str, baseline: &str) -> usize {
-    check_key(current, baseline, "after_rows_per_sec")
-        + check_key(current, baseline, "explains_per_sec")
+    gate::check_key(current, baseline, "after_rows_per_sec")
+        + gate::check_key(current, baseline, "explains_per_sec")
 }
 
 fn main() {
@@ -465,12 +381,11 @@ fn main() {
     }
 
     let large_rows = if quick { 200_000 } else { 1_000_000 };
-    eprintln!("running large-context Loan rows={large_rows} (striped kernels)…");
+    eprintln!("running large-context Loan rows={large_rows} (direct indexed path)…");
     let large = run_large(large_rows);
     eprintln!(
-        "  kernels={} stripes={} | index build {:.0} ms | {:.1} explains/s (p50 {:.3} µs, p99 {:.3} µs over {} targets)",
+        "  kernels={} | index build {:.0} ms | {:.1} explains/s (p50 {:.3} µs, p99 {:.3} µs over {} targets)",
         large.kernels,
-        large.stripe_threads,
         large.index_build_ms,
         large.explains_per_sec,
         large.p50_us,
@@ -498,75 +413,5 @@ fn main() {
                 std::process::exit(1);
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Pins nearest-rank on the canonical 1..=100 sample: p50 must be
-    /// exactly 50 and p99 exactly 99 (the old rounded `(n-1)·pct` index
-    /// returned 50 only after reading rank 50.5 rounded down-ish, and
-    /// sat below the named statistic in general).
-    #[test]
-    fn percentile_pins_p50_p99_of_1_to_100() {
-        let v: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile(&v, 0.50), 50);
-        assert_eq!(percentile(&v, 0.90), 90);
-        assert_eq!(percentile(&v, 0.99), 99);
-        assert_eq!(percentile(&v, 1.00), 100);
-        assert_eq!(percentile(&v, 0.0), 1);
-        assert_eq!(percentile(&[], 0.5), 0);
-        assert_eq!(percentile(&[42], 0.99), 42);
-        // n=2: ⌈0.5·2⌉ = 1 → the lower sample, never an interpolation.
-        assert_eq!(percentile(&[10, 20], 0.5), 10);
-    }
-
-    const CUR: &str = r#"{
-  "large_context": {"explains_per_sec": 500.0},
-  "results": [{"after_rows_per_sec": 1000.0}, {"after_rows_per_sec": 2000.0}]
-}"#;
-
-    #[test]
-    fn healthy_baseline_passes_and_regressions_fail() {
-        let same = CUR;
-        assert_eq!(check_baseline(CUR, same), 0);
-        let fast = r#"{
-  "large_context": {"explains_per_sec": 500.0},
-  "results": [{"after_rows_per_sec": 9000.0}, {"after_rows_per_sec": 2000.0}]
-}"#;
-        assert_eq!(check_baseline(CUR, fast), 1);
-    }
-
-    /// The corrupted-baseline matrix: every malformation must FAIL the
-    /// gate (non-zero), never silently pass.
-    #[test]
-    fn corrupted_baseline_fails_loudly() {
-        // Missing key entirely (e.g. a pre-large-context baseline).
-        let no_large =
-            r#"{"results": [{"after_rows_per_sec": 1000.0}, {"after_rows_per_sec": 2000.0}]}"#;
-        assert!(check_baseline(CUR, no_large) > 0);
-        // Truncated results array (shape mismatch).
-        let truncated = r#"{
-  "large_context": {"explains_per_sec": 500.0},
-  "results": [{"after_rows_per_sec": 1000.0}]
-}"#;
-        assert!(check_baseline(CUR, truncated) > 0);
-        // Zeroed field: any current value would beat 0.8 × 0.
-        let zeroed = r#"{
-  "large_context": {"explains_per_sec": 0},
-  "results": [{"after_rows_per_sec": 1000.0}, {"after_rows_per_sec": 2000.0}]
-}"#;
-        assert!(check_baseline(CUR, zeroed) > 0);
-        // NaN field: every comparison against NaN is false → would pass.
-        let nan = r#"{
-  "large_context": {"explains_per_sec": 500.0},
-  "results": [{"after_rows_per_sec": NaN}, {"after_rows_per_sec": 2000.0}]
-}"#;
-        assert!(check_baseline(CUR, nan) > 0);
-        // Outright garbage / empty document.
-        assert!(check_baseline(CUR, "{}") > 0);
-        assert!(check_baseline(CUR, "not json at all") > 0);
     }
 }

@@ -38,19 +38,10 @@
 
 use std::time::Instant;
 
+use cce_bench::gate;
 use cce_core::engine::BatchEngine;
 use cce_core::{Alpha, Context, WorkBudget};
 use cce_dataset::{synth, BinSpec, Instance, Label};
-
-/// Nearest-rank percentile over a sorted sample (see `exp_bench_batch`).
-fn percentile(sorted_ns: &[u64], pct: f64) -> u64 {
-    if sorted_ns.is_empty() {
-        return 0;
-    }
-    let n = sorted_ns.len();
-    let rank = (pct * n as f64).ceil() as usize;
-    sorted_ns[rank.clamp(1, n) - 1]
-}
 
 struct ChurnResult {
     rows: usize,
@@ -101,8 +92,8 @@ fn run(rows: usize, events: usize, rebuild_reps: usize) -> ChurnResult {
         per_event_ns.push(t0.elapsed().as_nanos() as u64);
     }
     per_event_ns.sort_unstable();
-    let patch_p50_us = percentile(&per_event_ns, 0.50) as f64 / 1_000.0;
-    let patch_p99_us = percentile(&per_event_ns, 0.99) as f64 / 1_000.0;
+    let patch_p50_us = cce_obs::nearest_rank(&per_event_ns, 0.50) as f64 / 1_000.0;
+    let patch_p99_us = cce_obs::nearest_rank(&per_event_ns, 0.99) as f64 / 1_000.0;
 
     // The patched engine must actually serve: explain freshly arrived
     // rows and record the read-side latency.
@@ -116,7 +107,7 @@ fn run(rows: usize, events: usize, rebuild_reps: usize) -> ChurnResult {
         explain_ns.push(t0.elapsed().as_nanos() as u64);
     }
     explain_ns.sort_unstable();
-    let explain_p50_us = percentile(&explain_ns, 0.50) as f64 / 1_000.0;
+    let explain_p50_us = cce_obs::nearest_rank(&explain_ns, 0.50) as f64 / 1_000.0;
 
     // --- arrival-to-explainable: rebuild side --------------------------
     // The pre-delta behavior: any context change invalidates the engine,
@@ -209,69 +200,9 @@ fn to_json(r: &ChurnResult, quick: bool) -> String {
     )
 }
 
-/// Extracts every `"<key>": <number>` occurrence (document order).
-fn extract_numbers(doc: &str, key: &str) -> Vec<f64> {
-    let needle = format!("\"{key}\":");
-    let mut out = Vec::new();
-    let mut rest = doc;
-    while let Some(pos) = rest.find(&needle) {
-        rest = &rest[pos + needle.len()..];
-        let num: String = rest
-            .trim_start()
-            .chars()
-            .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-' || *c == 'e')
-            .collect();
-        if let Ok(v) = num.parse::<f64>() {
-            out.push(v);
-        }
-    }
-    out
-}
-
-/// One gated key: fails on >20% regression or a malformed baseline
-/// (missing key, shape mismatch, zero/negative/NaN reference) — the
-/// same loud semantics as the batch gate; a skipped gate passes every
-/// regression.
-fn check_key(current: &str, baseline: &str, key: &str) -> usize {
-    let cur = extract_numbers(current, key);
-    let base = extract_numbers(baseline, key);
-    if base.is_empty() {
-        eprintln!("GATE FAILURE: baseline has no \"{key}\" fields — regenerate the baseline");
-        return 1;
-    }
-    if cur.len() != base.len() {
-        eprintln!(
-            "GATE FAILURE: baseline shape mismatch for \"{key}\" ({} vs {} entries) — regenerate the baseline",
-            base.len(),
-            cur.len()
-        );
-        return 1;
-    }
-    let mut failures = 0;
-    for (i, (c, b)) in cur.iter().zip(&base).enumerate() {
-        if !(b.is_finite() && *b > 0.0) {
-            eprintln!(
-                "GATE FAILURE: \"{key}\" entry {i}: baseline value {b} is not a positive number"
-            );
-            failures += 1;
-            continue;
-        }
-        if *c < 0.8 * *b {
-            eprintln!(
-                "REGRESSION: \"{key}\" entry {i}: {c:.1} vs baseline {b:.1} (>{:.0}% drop)",
-                (1.0 - c / b) * 100.0
-            );
-            failures += 1;
-        } else {
-            eprintln!("ok: \"{key}\" entry {i}: {c:.1} vs baseline {b:.1}");
-        }
-    }
-    failures
-}
-
 fn check_baseline(current: &str, baseline: &str) -> usize {
-    check_key(current, baseline, "patch_events_per_sec")
-        + check_key(current, baseline, "update_speedup")
+    gate::check_key(current, baseline, "patch_events_per_sec")
+        + gate::check_key(current, baseline, "update_speedup")
 }
 
 fn main() {
@@ -341,40 +272,5 @@ fn main() {
     if failures > 0 {
         eprintln!("{failures} gate failure(s)");
         std::process::exit(1);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    const CUR: &str = r#"{"patch_events_per_sec": 5000.0, "update_speedup": 50.0}"#;
-
-    #[test]
-    fn healthy_baseline_passes_and_regressions_fail() {
-        assert_eq!(check_baseline(CUR, CUR), 0);
-        let fast = r#"{"patch_events_per_sec": 90000.0, "update_speedup": 50.0}"#;
-        assert_eq!(check_baseline(CUR, fast), 1);
-    }
-
-    /// Every baseline malformation must FAIL the gate, never skip it.
-    #[test]
-    fn corrupted_baseline_fails_loudly() {
-        let missing = r#"{"patch_events_per_sec": 5000.0}"#;
-        assert!(check_baseline(CUR, missing) > 0);
-        let zeroed = r#"{"patch_events_per_sec": 0, "update_speedup": 50.0}"#;
-        assert!(check_baseline(CUR, zeroed) > 0);
-        let nan = r#"{"patch_events_per_sec": NaN, "update_speedup": 50.0}"#;
-        assert!(check_baseline(CUR, nan) > 0);
-        assert!(check_baseline(CUR, "{}") > 0);
-        assert!(check_baseline(CUR, "not json at all") > 0);
-    }
-
-    #[test]
-    fn percentile_nearest_rank() {
-        let v: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile(&v, 0.50), 50);
-        assert_eq!(percentile(&v, 0.99), 99);
-        assert_eq!(percentile(&[], 0.5), 0);
     }
 }

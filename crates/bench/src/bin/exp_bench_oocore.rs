@@ -40,6 +40,7 @@
 
 use std::time::Instant;
 
+use cce_bench::gate;
 use cce_core::pagestore::write_store;
 use cce_core::persist::StdVfs;
 use cce_core::{Alpha, Context, ContextIndex, PagedContextIndex};
@@ -225,68 +226,9 @@ fn to_json(r: &OocoreResult, quick: bool) -> String {
     )
 }
 
-/// Extracts every `"<key>": <number>` occurrence (document order).
-fn extract_numbers(doc: &str, key: &str) -> Vec<f64> {
-    let needle = format!("\"{key}\":");
-    let mut out = Vec::new();
-    let mut rest = doc;
-    while let Some(pos) = rest.find(&needle) {
-        rest = &rest[pos + needle.len()..];
-        let num: String = rest
-            .trim_start()
-            .chars()
-            .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-' || *c == 'e')
-            .collect();
-        if let Ok(v) = num.parse::<f64>() {
-            out.push(v);
-        }
-    }
-    out
-}
-
-/// One gated key: fails on >20% regression or a malformed baseline
-/// (missing key, shape mismatch, zero/negative/NaN reference) — a
-/// silently-skipped gate passes every regression.
-fn check_key(current: &str, baseline: &str, key: &str) -> usize {
-    let cur = extract_numbers(current, key);
-    let base = extract_numbers(baseline, key);
-    if base.is_empty() {
-        eprintln!("GATE FAILURE: baseline has no \"{key}\" fields — regenerate the baseline");
-        return 1;
-    }
-    if cur.len() != base.len() {
-        eprintln!(
-            "GATE FAILURE: baseline shape mismatch for \"{key}\" ({} vs {} entries) — regenerate the baseline",
-            base.len(),
-            cur.len()
-        );
-        return 1;
-    }
-    let mut failures = 0;
-    for (i, (c, b)) in cur.iter().zip(&base).enumerate() {
-        if !(b.is_finite() && *b > 0.0) {
-            eprintln!(
-                "GATE FAILURE: \"{key}\" entry {i}: baseline value {b} is not a positive number"
-            );
-            failures += 1;
-            continue;
-        }
-        if *c < 0.8 * *b {
-            eprintln!(
-                "REGRESSION: \"{key}\" entry {i}: {c:.3} vs baseline {b:.3} (>{:.0}% drop)",
-                (1.0 - c / b) * 100.0
-            );
-            failures += 1;
-        } else {
-            eprintln!("ok: \"{key}\" entry {i}: {c:.3} vs baseline {b:.3}");
-        }
-    }
-    failures
-}
-
 fn check_baseline(current: &str, baseline: &str) -> usize {
-    check_key(current, baseline, "warm_explains_per_sec")
-        + check_key(current, baseline, "warm_vs_ram_ratio")
+    gate::check_key(current, baseline, "warm_explains_per_sec")
+        + gate::check_key(current, baseline, "warm_vs_ram_ratio")
 }
 
 fn main() {
@@ -364,32 +306,5 @@ fn main() {
     if failures > 0 {
         eprintln!("{failures} gate failure(s)");
         std::process::exit(1);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    const CUR: &str = r#"{"warm_explains_per_sec": 500.0, "warm_vs_ram_ratio": 0.6}"#;
-
-    #[test]
-    fn healthy_baseline_passes_and_regressions_fail() {
-        assert_eq!(check_baseline(CUR, CUR), 0);
-        let fast = r#"{"warm_explains_per_sec": 9000.0, "warm_vs_ram_ratio": 0.6}"#;
-        assert_eq!(check_baseline(CUR, fast), 1);
-    }
-
-    /// Every baseline malformation must FAIL the gate, never skip it.
-    #[test]
-    fn corrupted_baseline_fails_loudly() {
-        let missing = r#"{"warm_explains_per_sec": 500.0}"#;
-        assert!(check_baseline(CUR, missing) > 0);
-        let zeroed = r#"{"warm_explains_per_sec": 0, "warm_vs_ram_ratio": 0.6}"#;
-        assert!(check_baseline(CUR, zeroed) > 0);
-        let nan = r#"{"warm_explains_per_sec": NaN, "warm_vs_ram_ratio": 0.6}"#;
-        assert!(check_baseline(CUR, nan) > 0);
-        assert!(check_baseline(CUR, "{}") > 0);
-        assert!(check_baseline(CUR, "not json at all") > 0);
     }
 }

@@ -21,6 +21,7 @@
 #![warn(missing_docs)]
 
 pub mod experiments;
+pub mod gate;
 pub mod methods;
 pub mod setup;
 

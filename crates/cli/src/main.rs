@@ -58,7 +58,7 @@ const USAGE: &str = "usage:
                  [--shed-depth N] [--degrade-depth N] [--degrade-budget SCANS]
                  [--checkpoint-dir <dir> [--checkpoint-every N] [--resume]]
                  [--max-conns N] [--keepalive-ms MS]
-                 [--kernels auto|scalar|avx2|neon] [--stripe-threads T] [--stripe-words W]
+                 [--kernels auto|scalar|avx2|neon]
                  [--window ROWS [--window-delta D]]  slide the live ingest context by ΔI=D
                  [--shards N [--shard-deadline-ms MS] [--shard-retries R]
                   [--shard-backoff-ms MS] [--shard-hedge-ms MS] [--chaos]]
@@ -107,8 +107,6 @@ fn allowed_flags(cmd: &str) -> Option<&'static [&'static str]> {
             "max-conns",
             "keepalive-ms",
             "kernels",
-            "stripe-threads",
-            "stripe-words",
             "window",
             "window-delta",
             "store",
@@ -621,13 +619,6 @@ fn serve(args: &Args) -> Result<(), String> {
         let active = cce_core::kernels::force(mode);
         println!("kernels: {active}");
     }
-    let mut engine_cfg = cce_core::engine::EngineConfig::default();
-    if let Some(v) = args.int("stripe-threads")? {
-        engine_cfg.stripes.threads = v.max(1) as usize;
-    }
-    if let Some(v) = args.int("stripe-words")? {
-        engine_cfg.stripes.words_per_stripe = v.max(1) as usize;
-    }
     let window = match (args.int("window")?, args.int("window-delta")?) {
         (Some(cap), delta) => {
             let capacity = cap.max(1) as usize;
@@ -724,7 +715,7 @@ fn serve(args: &Args) -> Result<(), String> {
             Some(p) => cce_serve::build_app_paged(
                 ctx,
                 alpha,
-                engine_cfg,
+                cce_core::engine::EngineConfig::default(),
                 batcher_cfg,
                 admission_cfg,
                 backend,
@@ -734,7 +725,7 @@ fn serve(args: &Args) -> Result<(), String> {
             None => cce_serve::build_app_with(
                 ctx,
                 alpha,
-                engine_cfg,
+                cce_core::engine::EngineConfig::default(),
                 batcher_cfg,
                 admission_cfg,
                 backend,

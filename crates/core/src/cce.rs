@@ -226,132 +226,80 @@ impl Cce {
     /// sequential version and returned in row order. Two engine-level
     /// optimizations ride on top of the lazy-greedy indexed path:
     ///
-    /// * **Duplicate-row memoization** (batch mode): every algorithm here
-    ///   depends on the target only through its `(instance, prediction)`
-    ///   pair, so identical rows provably receive identical keys. The
-    ///   engine partitions rows into equivalence classes
+    /// * **Duplicate-row memoization**: every algorithm here depends on
+    ///   the target only through its `(instance, prediction)` pair, so
+    ///   identical rows provably receive identical keys. The engine
+    ///   partitions rows into equivalence classes
     ///   ([`Context::duplicate_classes`]), explains each class's first
     ///   row once, and fans the key out (`cce_batch_memo_hits_total`).
-    ///   Online replay is order-sensitive, so online mode keeps one class
-    ///   per row.
-    /// * **Work stealing**: instead of static chunks, workers claim
-    ///   striped batches of classes from a shared atomic cursor, so a run
-    ///   of slow targets (long keys, big violator sets) cannot straggle
-    ///   the batch behind one unlucky worker.
+    /// * **Work stealing**: workers claim chunks of classes from a
+    ///   shared atomic cursor, so a run of slow targets (long keys, big
+    ///   violator sets) cannot straggle the batch behind one unlucky
+    ///   worker.
     ///
     /// The batch survives worker failures: each finished class is
-    /// published to a shared slot immediately, so a panicking worker
-    /// loses only its in-flight class; unfinished classes are recovered
-    /// sequentially with each target isolated under `catch_unwind`, and
-    /// one poisoned target costs only its own key — never the batch.
-    /// Panics are counted in `cce_parallel_worker_panics_total` and
+    /// published to its slot immediately, so a panic loses only the
+    /// in-flight class; unfinished classes are recovered sequentially
+    /// with each target isolated under `catch_unwind`, and one poisoned
+    /// target costs only its own key — never the batch. Panics are
+    /// counted in `cce_parallel_worker_panics_total` and
     /// `cce_explain_errors_total{kind="panic"}`.
+    ///
+    /// Online mode replays the stream per target, which depends on the
+    /// target's position, so it has nothing to share and runs
+    /// [`Cce::explain_all`].
     pub fn explain_all_parallel(&self, threads: usize) -> Vec<(usize, RelativeKey)> {
         use std::panic::{catch_unwind, AssertUnwindSafe};
-        use std::sync::atomic::{AtomicUsize, Ordering};
 
-        let n = self.ctx.len();
-        if n == 0 {
-            return Vec::new();
+        if self.config.mode == Mode::Online {
+            return self.explain_all();
         }
-        let threads = threads.clamp(1, n);
-        // Batch mode shares one read-only index across all workers.
-        let idx = match self.config.mode {
-            Mode::Batch => Some(crate::ContextIndex::new(&self.ctx)),
-            Mode::Online => None,
-        };
-        let idx = idx.as_ref();
-        // Duplicate-target memoization: identical (instance, prediction)
-        // rows get identical keys in batch mode, so each equivalence
-        // class is explained once. OSRK's replay depends on the target's
-        // position in the stream, so online mode gets one class per row.
-        let (reps, class_of) = match self.config.mode {
-            Mode::Batch => self.ctx.duplicate_classes(),
-            Mode::Online => ((0..n as u32).collect(), (0..n as u32).collect()),
-        };
-        let n_classes = reps.len();
-        cce_obs::counter!("cce_batch_memo_hits_total").add((n - n_classes) as u64);
-        cce_obs::counter!("cce_batch_memo_classes_total").add(n_classes as u64);
+        let n = self.ctx.len();
+        let idx = crate::ContextIndex::new(&self.ctx);
+        let (reps, class_of) = self.ctx.duplicate_classes();
+        cce_obs::counter!("cce_batch_memo_hits_total").add((n - reps.len()) as u64);
+        cce_obs::counter!("cce_batch_memo_classes_total").add(reps.len() as u64);
 
-        let explain_rep = |rep: usize, scratch: &mut ExplainScratch| match idx {
-            Some(idx) => idx.explain_with(&self.ctx, rep, self.config.alpha, scratch),
-            None => self.explain_row(rep),
+        let explain_rep = |c: usize, scratch: &mut ExplainScratch| {
+            idx.explain_with(&self.ctx, reps[c] as usize, self.config.alpha, scratch)
         };
-        let explain_rep = &explain_rep;
         #[cfg(test)]
         let trap = |row: usize| {
-            if row == tests::PANIC_TARGET.load(Ordering::Relaxed) {
+            if row == tests::PANIC_TARGET.load(std::sync::atomic::Ordering::Relaxed) {
                 panic!("injected test panic for target {row}");
             }
         };
-        // One write-once slot per class: workers publish each result the
-        // moment it is computed, so nothing finished is ever lost to a
-        // later panic in the same worker.
-        let slots: Vec<OnceLock<Result<RelativeKey, ExplainError>>> =
-            (0..n_classes).map(|_| OnceLock::new()).collect();
-        let slots = &slots;
-        let cursor = AtomicUsize::new(0);
-        let cursor = &cursor;
-        // Stripes are sized so each worker claims ~8 batches: large
-        // enough to keep cursor contention negligible, small enough that
-        // skewed classes rebalance.
-        let stripe = n_classes.div_ceil(threads * 8).clamp(1, 256);
 
         let timer = cce_obs::SpanTimer::start(cce_obs::histogram!(
             "cce_batch_explain_ns",
             "mode" => "parallel"
         ));
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    #[cfg(test)]
-                    let class_of = &class_of;
-                    let reps = &reps;
-                    scope.spawn(move || {
-                        let mut scratch = ExplainScratch::new();
-                        let mut keys: u64 = 0;
-                        loop {
-                            let start = cursor.fetch_add(stripe, Ordering::Relaxed);
-                            if start >= n_classes {
-                                break;
-                            }
-                            for c in start..(start + stripe).min(n_classes) {
-                                #[cfg(test)]
-                                class_of
-                                    .iter()
-                                    .enumerate()
-                                    .filter(|&(_, &cc)| cc as usize == c)
-                                    .for_each(|(row, _)| trap(row));
-                                let res = explain_rep(reps[c] as usize, &mut scratch);
-                                keys += u64::from(res.is_ok());
-                                let _ = slots[c].set(res);
-                            }
-                        }
-                        cce_obs::counter!("cce_batch_worker_keys_total").add(keys);
-                    })
-                })
-                .collect();
-            for h in handles {
-                if h.join().is_err() {
-                    cce_obs::counter!("cce_parallel_worker_panics_total").inc();
-                }
-            }
+        let slots = crate::fanout::fan_out(reps.len(), threads, |c, scratch| {
+            #[cfg(test)]
+            class_of
+                .iter()
+                .enumerate()
+                .filter(|&(_, &cc)| cc as usize == c)
+                .for_each(|(row, _)| trap(row));
+            explain_rep(c, scratch)
         });
+        let keys = slots.iter().filter(|s| matches!(s, Some(Ok(_)))).count();
+        cce_obs::counter!("cce_batch_worker_keys_total").add(keys as u64);
         // Fan classes back out to rows, in row order. A class left unset
-        // by a dead worker is recovered here with each of its rows
-        // isolated, so only a genuinely poisoned target loses its key.
+        // by a panic is recovered here with each of its rows isolated,
+        // so only a genuinely poisoned target loses its key.
         let mut recovery_scratch = ExplainScratch::new();
         let mut out = Vec::with_capacity(n);
         for (r, &class) in class_of.iter().enumerate() {
             let c = class as usize;
-            match slots[c].get() {
+            match &slots[c] {
                 Some(Ok(k)) => out.push((r, k.clone())),
                 Some(Err(_)) => {}
                 None => {
                     let attempt = catch_unwind(AssertUnwindSafe(|| {
                         #[cfg(test)]
                         trap(r);
-                        explain_rep(reps[c] as usize, &mut recovery_scratch)
+                        explain_rep(c, &mut recovery_scratch)
                     }));
                     match attempt {
                         Ok(Ok(k)) => out.push((r, k)),
@@ -598,12 +546,17 @@ mod tests {
         let hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
         PANIC_TARGET.store(7, std::sync::atomic::Ordering::Relaxed);
-        let par = cce.explain_all_parallel(4);
+        let runs: Vec<_> = [1, 4]
+            .into_iter()
+            .map(|threads| cce.explain_all_parallel(threads))
+            .collect();
         PANIC_TARGET.store(usize::MAX, std::sync::atomic::Ordering::Relaxed);
         std::panic::set_hook(hook);
         // Only target 7 may be missing; every other key survives intact.
         let expect: Vec<_> = seq.iter().filter(|(t, _)| *t != 7).cloned().collect();
-        assert_eq!(par, expect);
+        for par in runs {
+            assert_eq!(par, expect);
+        }
     }
 
     #[test]

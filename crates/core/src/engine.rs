@@ -32,10 +32,7 @@
 //!   overloaded server can trade key completeness for bounded latency
 //!   per target and report the [`ExplainStatus`] honestly.
 //! * **Scoped parallelism** — distinct classes of one batch fan out over
-//!   `threads` scoped workers; results are returned in input order. When
-//!   a batch collapses to a *single* huge explain and the context is
-//!   large enough for [`StripeConfig`] to engage, the engine instead
-//!   stripes that one explain's bitset passes across the cores.
+//!   up to `threads` scoped workers; results are returned in input order.
 //!
 //! Targets are addressed by **logical index**: position in arrival order
 //! among the live rows (identical to the row index when no eviction has
@@ -54,16 +51,13 @@ use cce_dataset::{Instance, Label, Schema};
 use crate::alpha::Alpha;
 use crate::context::Context;
 use crate::error::ExplainError;
+use crate::fanout::fan_out;
 use crate::index::{ContextIndex, ExplainScratch};
-use crate::kernels::StripeConfig;
 use crate::srk::{BudgetedKey, WorkBudget};
 
 /// Tunables for a [`BatchEngine`], beyond the context and α.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// When (and how wide) to stripe a single explain's bitset passes
-    /// across cores; see [`StripeConfig::engages`].
-    pub stripes: StripeConfig,
     /// Tombstone density (`tombstones / slot_rows`) beyond which the
     /// engine compacts the index after an eviction.
     pub max_tombstone_ratio: f64,
@@ -75,7 +69,6 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         Self {
-            stripes: StripeConfig::default(),
             max_tombstone_ratio: 0.5,
             compact_min_slots: 1024,
         }
@@ -88,7 +81,6 @@ impl Default for EngineConfig {
 pub struct BatchEngine {
     schema: Arc<Schema>,
     alpha: Alpha,
-    stripes: StripeConfig,
     max_tombstone_ratio: f64,
     compact_min_slots: usize,
     idx: ContextIndex,
@@ -114,7 +106,6 @@ impl Clone for BatchEngine {
         Self {
             schema: Arc::clone(&self.schema),
             alpha: self.alpha,
-            stripes: self.stripes,
             max_tombstone_ratio: self.max_tombstone_ratio,
             compact_min_slots: self.compact_min_slots,
             idx: self.idx.clone(),
@@ -137,11 +128,9 @@ impl BatchEngine {
     }
 
     /// [`BatchEngine::new`] with explicit [`EngineConfig`] — the serve
-    /// daemon's constructor, plumbing `--stripe-*` flags through. The
-    /// index build itself uses the same stripe config to parallelize its
-    /// seed tables on large contexts.
+    /// daemon's constructor.
     pub fn with_config(ctx: Context, alpha: Alpha, cfg: EngineConfig) -> Self {
-        let idx = ContextIndex::with_stripes(&ctx, &cfg.stripes);
+        let idx = ContextIndex::new(&ctx);
         let schema = ctx.schema_arc();
         let n = ctx.len();
         let mut rows: Vec<(Instance, Label)> = Vec::with_capacity(n);
@@ -160,7 +149,6 @@ impl BatchEngine {
         Self {
             schema,
             alpha,
-            stripes: cfg.stripes,
             max_tombstone_ratio: cfg.max_tombstone_ratio,
             compact_min_slots: cfg.compact_min_slots,
             idx,
@@ -240,10 +228,11 @@ impl BatchEngine {
     pub fn push(&mut self, x: Instance, pred: Label) -> Result<usize, ExplainError> {
         let slot = self.idx.insert_row(&x, pred)?;
         debug_assert_eq!(slot, self.rows.len());
-        let class = *self
-            .dup_of
-            .entry((x.clone(), pred))
-            .or_insert(self.class_of.iter().copied().max().map_or(0, |m| m + 1));
+        // Ids are dense and never freed before compaction, so the next
+        // free id is the partition's size — not the max over `class_of`,
+        // which forgets the ids of reclaimed tail slots.
+        let next = self.dup_of.len() as u32;
+        let class = *self.dup_of.entry((x.clone(), pred)).or_insert(next);
         self.class_of.push(class);
         self.rows.push((x, pred));
         self.order.push_back(slot as u32);
@@ -307,7 +296,6 @@ impl BatchEngine {
             ctx,
             self.alpha,
             EngineConfig {
-                stripes: self.stripes,
                 max_tombstone_ratio: self.max_tombstone_ratio,
                 compact_min_slots: self.compact_min_slots,
             },
@@ -337,7 +325,7 @@ impl BatchEngine {
         if let Some(hit) = self.memo_get(class, budget) {
             return hit;
         }
-        let result = self.explain_slot(slot as usize, budget, &mut ExplainScratch::new(), true);
+        let result = self.explain_slot(slot as usize, budget, &mut ExplainScratch::new());
         self.memo_put(class, budget, &result);
         result
     }
@@ -400,7 +388,6 @@ impl BatchEngine {
             self.alpha,
             WorkBudget::unlimited(),
             &mut ExplainScratch::new(),
-            Some(&self.stripes),
         );
         self.idx.remove_row(slot, x, pred);
         self.reclaim_tail();
@@ -471,58 +458,28 @@ impl BatchEngine {
             .collect()
     }
 
-    /// Explains each representative slot once, in parallel when the
-    /// batch and thread budget both allow it.
+    /// Explains each representative slot once, fanned out over up to
+    /// `threads` workers. A slot a worker panicked on is recomputed on
+    /// the caller, so a repeatable panic propagates to the caller.
     fn explain_classes(
         &self,
         misses: &[(usize, u32)],
         budget: WorkBudget,
         threads: usize,
     ) -> Vec<Result<BudgetedKey, ExplainError>> {
-        let threads = threads.clamp(1, misses.len().max(1));
-        if threads == 1 || misses.len() <= 1 {
-            // No class-level fan-out: let each explain stripe itself
-            // across cores instead (engages only on large contexts).
-            let mut scratch = ExplainScratch::new();
-            return misses
-                .iter()
-                .map(|&(_, slot)| self.explain_slot(slot as usize, budget, &mut scratch, true))
-                .collect();
-        }
-        type Slot = Option<Result<BudgetedKey, ExplainError>>;
-        let mut results: Vec<Slot> = vec![None; misses.len()];
-        std::thread::scope(|scope| {
-            // Round-robin slot ownership: micro-batches are small enough
-            // that static striping balances fine, and exclusive &mut
-            // slots keep the fan-out lock-free.
-            let mut workers: Vec<Vec<(usize, &mut Slot)>> =
-                (0..threads).map(|_| Vec::new()).collect();
-            for (i, slot) in results.iter_mut().enumerate() {
-                workers[i % threads].push((i, slot));
-            }
-            for stripe in workers {
-                scope.spawn(move || {
-                    let mut scratch = ExplainScratch::new();
-                    for (i, out) in stripe {
-                        let rep = misses[i].1 as usize;
-                        // Class fan-out already owns the cores; striping
-                        // inside each explain would only oversubscribe.
-                        *out = Some(self.explain_slot(rep, budget, &mut scratch, false));
-                    }
-                });
-            }
-        });
-        results
+        let explain = |i: usize, scratch: &mut ExplainScratch| {
+            self.explain_slot(misses[i].1 as usize, budget, scratch)
+        };
+        fan_out(misses.len(), threads, explain)
             .into_iter()
-            .map(|r| r.expect("every slot was assigned to a worker"))
+            .enumerate()
+            .map(|(i, r)| r.unwrap_or_else(|| explain(i, &mut ExplainScratch::new())))
             .collect()
     }
 
     /// One representative explain, always through the index: lazy-greedy
-    /// when unlimited (identical to [`Srk::explain`]; striped across
-    /// cores when `may_stripe` and the context is large enough),
-    /// budget-accounted otherwise (identical to
-    /// [`Srk::explain_budgeted`]).
+    /// when unlimited (identical to [`Srk::explain`]), budget-accounted
+    /// otherwise (identical to [`Srk::explain_budgeted`]).
     ///
     /// [`Srk::explain`]: crate::Srk::explain
     /// [`Srk::explain_budgeted`]: crate::Srk::explain_budgeted
@@ -531,12 +488,9 @@ impl BatchEngine {
         slot: usize,
         budget: WorkBudget,
         scratch: &mut ExplainScratch,
-        may_stripe: bool,
     ) -> Result<BudgetedKey, ExplainError> {
         let (x, p) = &self.rows[slot];
-        let stripes = may_stripe.then_some(&self.stripes);
-        self.idx
-            .explain_value(x, *p, self.alpha, budget, scratch, stripes)
+        self.idx.explain_value(x, *p, self.alpha, budget, scratch)
     }
 }
 
@@ -612,35 +566,6 @@ mod tests {
     }
 
     #[test]
-    fn striped_engine_matches_default() {
-        // Force stripes to engage at toy sizes with an oversubscribed
-        // team; every path (single, batch, budgeted) must agree with the
-        // unstriped engine bit for bit.
-        let ctx = loan_ctx(300);
-        let cfg = EngineConfig {
-            stripes: StripeConfig {
-                words_per_stripe: 2,
-                min_words: 1,
-                threads: 3,
-            },
-            ..EngineConfig::default()
-        };
-        let striped = BatchEngine::with_config(ctx.clone(), Alpha::ONE, cfg);
-        let plain = BatchEngine::new(ctx, Alpha::ONE);
-        let targets: Vec<usize> = (0..striped.len()).step_by(11).collect();
-        for budget in [WorkBudget::unlimited(), WorkBudget::new(75)] {
-            assert_eq!(
-                striped.explain_batch(&targets, budget, 1),
-                plain.explain_batch(&targets, budget, 1),
-            );
-        }
-        assert_eq!(
-            striped.explain_one(0, WorkBudget::unlimited()),
-            plain.explain_one(0, WorkBudget::unlimited()),
-        );
-    }
-
-    #[test]
     fn empty_batch_is_fine() {
         let engine = loan_engine(50, 1.0);
         assert!(engine
@@ -683,7 +608,6 @@ mod tests {
         let cfg = EngineConfig {
             compact_min_slots: 1,
             max_tombstone_ratio: 0.1,
-            ..EngineConfig::default()
         };
         let mut engine = BatchEngine::with_config(loan_ctx(200), Alpha::ONE, cfg);
         let before_all: Vec<_> = engine.explain_batch(
@@ -762,6 +686,37 @@ mod tests {
             engine.explain_one(0, WorkBudget::unlimited()),
             Err(ExplainError::EmptyContext)
         ));
+    }
+
+    /// Draining the engine reclaims every slot, but the duplicate-class
+    /// ids of the drained rows stay mapped until compaction. A later
+    /// push must not reuse one of them for a different `(x, p)`, or two
+    /// distinct targets of one batch would share a key.
+    #[test]
+    fn pushes_after_a_drain_keep_distinct_classes() {
+        let old = loan_ctx(60);
+        let mut engine = BatchEngine::new(old.clone(), Alpha::ONE);
+        assert_eq!(engine.evict_oldest(engine.len()), 60);
+        let fresh_rows = {
+            let raw = synth::loan::generate(40, 7);
+            Context::from_recorded(&raw.encode(&BinSpec::uniform(6)))
+        };
+        for r in 0..fresh_rows.len() {
+            let (x, p) = (fresh_rows.instance(r).clone(), fresh_rows.prediction(r));
+            engine.push(x, p).unwrap();
+            let (x, p) = (old.instance(r).clone(), old.prediction(r));
+            engine.push(x, p).unwrap();
+        }
+        let srk = Srk::new(engine.alpha());
+        let ctx = engine.materialize();
+        let targets: Vec<usize> = (0..engine.len()).collect();
+        for threads in [1, 2] {
+            let batch = engine.explain_batch(&targets, WorkBudget::unlimited(), threads);
+            for (&t, got) in targets.iter().zip(&batch) {
+                let want = srk.explain_budgeted(&ctx, t, WorkBudget::unlimited());
+                assert_eq!(&want, got, "target {t}, threads {threads}");
+            }
+        }
     }
 
     #[test]

@@ -11,9 +11,7 @@
 //!
 //! The word-level inner loops live in [`crate::kernels`]: runtime-
 //! dispatched AVX2/NEON SIMD with the portable scalar path as fallback
-//! and differential-testing oracle, plus an optional stripe team that
-//! shards one huge bitset pass across cores
-//! ([`ContextIndex::explain_striped`]).
+//! and differential-testing oracle.
 //!
 //! The index is a count source for the one lazy-greedy driver
 //! ([`crate::greedy`]): scores are `count_and` passes over the live
@@ -41,7 +39,7 @@ use crate::alpha::Alpha;
 use crate::context::Context;
 use crate::error::ExplainError;
 use crate::greedy::{self, record_run, CandidateHeap, CountSource};
-use crate::kernels::{self, Kernels, StripeConfig, TeamHandle};
+use crate::kernels::{self, Kernels};
 use crate::key::RelativeKey;
 use crate::srk::{BudgetedKey, WorkBudget};
 
@@ -184,20 +182,16 @@ impl RowSet {
 }
 
 /// Execution environment for one explanation: the dispatched kernel
-/// vtable plus an optional stripe team for huge contexts.
-struct Exec<'t> {
+/// vtable.
+struct Exec {
     k: &'static Kernels,
-    team: Option<&'t TeamHandle<'t>>,
-    words_per_stripe: usize,
 }
 
-impl Exec<'_> {
-    /// Plain single-threaded execution through the active kernels.
+impl Exec {
+    /// Execution through the process-selected kernels.
     fn direct() -> Self {
         Exec {
             k: kernels::active(),
-            team: None,
-            words_per_stripe: 0,
         }
     }
 
@@ -205,11 +199,7 @@ impl Exec<'_> {
         a.debug_assert_tail_clear();
         b.debug_assert_tail_clear();
         debug_assert_eq!(a.words.len(), b.words.len());
-        let (k, wps) = (self.k, self.words_per_stripe);
-        (match self.team {
-            Some(team) => kernels::stripes::count_and(k, team, wps, &a.words, &b.words),
-            None => (k.count_and)(&a.words, &b.words),
-        }) as usize
+        (self.k.count_and)(&a.words, &b.words) as usize
     }
 
     /// `dst ∩= src`, returning the new cardinality so the loop head
@@ -218,11 +208,7 @@ impl Exec<'_> {
         dst.debug_assert_tail_clear();
         src.debug_assert_tail_clear();
         debug_assert_eq!(dst.words.len(), src.words.len());
-        let (k, wps, d, s) = (self.k, self.words_per_stripe, &mut dst.words, &src.words);
-        (match self.team {
-            Some(team) => kernels::stripes::and_assign_count(k, team, wps, d, s),
-            None => (k.and_assign_count)(d, s),
-        }) as usize
+        (self.k.and_assign_count)(&mut dst.words, &src.words) as usize
     }
 
     /// Overwrites `dst` with `b ∩ ¬a`, returning the new cardinality —
@@ -235,11 +221,7 @@ impl Exec<'_> {
         debug_assert_eq!(b.words.len(), a.words.len());
         dst.rows = b.rows;
         dst.words.resize(b.words.len(), 0);
-        let (k, wps, d) = (self.k, self.words_per_stripe, &mut dst.words);
-        (match self.team {
-            Some(team) => kernels::stripes::and_not_count(k, team, wps, d, &b.words, &a.words),
-            None => (k.and_not_count)(d, &b.words, &a.words),
-        }) as usize
+        (self.k.and_not_count)(&mut dst.words, &b.words, &a.words) as usize
     }
 }
 
@@ -305,19 +287,19 @@ impl ClassIndex {
 }
 
 /// The in-RAM count source: live violator and supporter bitsets
-/// intersected with postings through an [`Exec`] (direct or striped).
-struct IndexCounts<'a, 't> {
+/// intersected with postings through an [`Exec`].
+struct IndexCounts<'a> {
     idx: &'a ContextIndex,
     x0: &'a Instance,
     class: &'a ClassIndex,
-    exec: &'a Exec<'t>,
+    exec: &'a Exec,
     violators: &'a mut RowSet,
     supporters: &'a mut RowSet,
     /// Whether the first pick has materialized the live sets.
     materialized: bool,
 }
 
-impl CountSource for IndexCounts<'_, '_> {
+impl CountSource for IndexCounts<'_> {
     type Fault = Infallible;
 
     fn n_features(&self) -> usize {
@@ -432,20 +414,8 @@ fn add_twin(twins: &mut HashMap<Instance, Vec<(Label, u32)>>, x: &Instance, p: L
 }
 
 impl ContextIndex {
-    /// Builds the index in `O(n·|I|)` time and `O(n·Σcard·|I|/64)` space,
-    /// using the default [`StripeConfig`] to parallelize the seed-table
-    /// build on large contexts.
+    /// Builds the index in `O(n·|I|)` time and `O(n·Σcard·|I|/64)` space.
     pub fn new(ctx: &Context) -> Self {
-        Self::with_stripes(ctx, &StripeConfig::default())
-    }
-
-    /// [`ContextIndex::new`] with an explicit stripe configuration: when
-    /// `stripes` engages for this context's bitset width, the seed-table
-    /// build (one fused `count_and2` pass per posting) fans out over
-    /// `stripes.threads` scoped workers with per-posting slots — exact
-    /// integer counts, so the result is byte-identical at every thread
-    /// count.
-    pub fn with_stripes(ctx: &Context, stripes: &StripeConfig) -> Self {
         let rows = ctx.len();
         let n = ctx.schema().n_features();
         let mut by_value: Vec<Vec<RowSet>> = (0..n)
@@ -491,7 +461,7 @@ impl ContextIndex {
                 .map(|postings| vec![(0, 0); postings.len()])
                 .collect();
         }
-        Self::build_seed_tables(&by_value, &mut classes, stripes, rows);
+        Self::build_seed_tables(&by_value, &mut classes);
         // One hash pass tabulates the instance → per-label multiset — the
         // unsatisfiability certificate consulted before any greedy round
         // runs, and the structure insert/remove deltas keep current.
@@ -518,54 +488,24 @@ impl ContextIndex {
     /// initial live sets. Classes are consumed two at a time through the
     /// fused `count_and2` kernel, so a binary-label context pays a
     /// single pass per posting — amortized over every explanation the
-    /// index will serve. On large contexts the postings fan out over
-    /// scoped workers writing disjoint result slots.
-    fn build_seed_tables(
-        by_value: &[Vec<RowSet>],
-        classes: &mut [ClassIndex],
-        stripes: &StripeConfig,
-        rows: usize,
-    ) {
-        let postings: Vec<(usize, usize, &RowSet)> = by_value
-            .iter()
-            .enumerate()
-            .flat_map(|(f, ps)| ps.iter().enumerate().map(move |(v, p)| (f, v, p)))
-            .collect();
-        // slot = (posting total, per-class cover counts).
-        let mut slots: Vec<(usize, Vec<usize>)> = vec![(0, vec![0; classes.len()]); postings.len()];
-        let fill = |posting: &RowSet, slot: &mut (usize, Vec<usize>), classes: &[ClassIndex]| {
-            slot.0 = posting.count();
-            let mut pairs = classes.chunks_exact(2);
-            for (c, pair) in (&mut pairs).enumerate() {
-                let (c0, c1) = posting.count_and2(&pair[0].rows, &pair[1].rows);
-                slot.1[2 * c] = c0;
-                slot.1[2 * c + 1] = c1;
-            }
-            if let [last] = pairs.remainder() {
-                slot.1[classes.len() - 1] = Exec::direct().count_and(posting, &last.rows);
-            }
-        };
-        let threads = stripes.threads.clamp(1, postings.len().max(1));
-        if threads > 1 && stripes.engages(rows.div_ceil(64)) {
-            let chunk = postings.len().div_ceil(threads);
-            let classes_ref: &[ClassIndex] = classes;
-            std::thread::scope(|scope| {
-                for (p_chunk, s_chunk) in postings.chunks(chunk).zip(slots.chunks_mut(chunk)) {
-                    scope.spawn(move || {
-                        for ((_, _, posting), slot) in p_chunk.iter().zip(s_chunk) {
-                            fill(posting, slot, classes_ref);
-                        }
-                    });
+    /// index will serve.
+    fn build_seed_tables(by_value: &[Vec<RowSet>], classes: &mut [ClassIndex]) {
+        let mut covers = vec![0; classes.len()];
+        for (f, postings) in by_value.iter().enumerate() {
+            for (v, posting) in postings.iter().enumerate() {
+                let total = posting.count();
+                let mut pairs = classes.chunks_exact(2);
+                for (c, pair) in (&mut pairs).enumerate() {
+                    let (c0, c1) = posting.count_and2(&pair[0].rows, &pair[1].rows);
+                    covers[2 * c] = c0;
+                    covers[2 * c + 1] = c1;
                 }
-            });
-        } else {
-            for ((_, _, posting), slot) in postings.iter().zip(&mut slots) {
-                fill(posting, slot, classes);
-            }
-        }
-        for ((f, v, _), (total, covers)) in postings.iter().zip(&slots) {
-            for (class, &cover) in classes.iter_mut().zip(covers) {
-                class.seed[*f][*v] = (total - cover, cover);
+                if let [last] = pairs.remainder() {
+                    covers[classes.len() - 1] = Exec::direct().count_and(posting, &last.rows);
+                }
+                for (class, &cover) in classes.iter_mut().zip(&covers) {
+                    class.seed[f][v] = (total - cover, cover);
+                }
             }
         }
     }
@@ -643,41 +583,6 @@ impl ContextIndex {
             .map(|b| b.key)
     }
 
-    /// [`ContextIndex::explain_with`] with the kernel passes of one
-    /// explanation striped across a scoped worker team — the
-    /// single-huge-explain path: a multi-million-row context keeps every
-    /// core busy on *one* target instead of only parallelizing across
-    /// targets.
-    ///
-    /// Falls back to the plain path when `stripes` does not engage for
-    /// this context's bitset width. Output is byte-identical to
-    /// [`ContextIndex::explain_with`] at every thread count (per-stripe
-    /// partial popcounts are exact integers reduced at the join point).
-    ///
-    /// # Errors
-    /// Same failure modes as [`Srk::explain`].
-    ///
-    /// [`Srk::explain`]: crate::Srk::explain
-    pub fn explain_striped(
-        &self,
-        ctx: &Context,
-        target: usize,
-        alpha: Alpha,
-        scratch: &mut ExplainScratch,
-        stripes: &StripeConfig,
-    ) -> Result<RelativeKey, ExplainError> {
-        self.check_frozen(ctx, target)?;
-        self.explain_value(
-            ctx.instance(target),
-            ctx.prediction(target),
-            alpha,
-            WorkBudget::unlimited(),
-            scratch,
-            Some(stripes),
-        )
-        .map(|b| b.key)
-    }
-
     /// Budget-guarded indexed explanation: byte-identical results *and*
     /// degradation behavior to [`Srk::explain_budgeted`], at indexed
     /// speed (the budget is in eager-scan units; see [`crate::greedy`]).
@@ -697,7 +602,7 @@ impl ContextIndex {
     ) -> Result<BudgetedKey, ExplainError> {
         self.check_frozen(ctx, target)?;
         let (x0, p0) = (ctx.instance(target), ctx.prediction(target));
-        self.explain_value(x0, p0, alpha, budget, scratch, None)
+        self.explain_value(x0, p0, alpha, budget, scratch)
     }
 
     /// Validates a context-addressed explain: the row-index entry points
@@ -729,8 +634,7 @@ impl ContextIndex {
 
     /// Value-addressed explain, the churn owners' entry point: the driver
     /// consults only `(x₀, p₀)`, so patched and rebuilt indexes agree byte
-    /// for byte. Unbudgeted explains stripe when `stripes` engages; an
-    /// unindexed `p₀` is [`ExplainError::UnknownInstance`].
+    /// for byte. An unindexed `p₀` is [`ExplainError::UnknownInstance`].
     pub(crate) fn explain_value(
         &self,
         x0: &Instance,
@@ -738,7 +642,6 @@ impl ContextIndex {
         alpha: Alpha,
         budget: WorkBudget,
         scratch: &mut ExplainScratch,
-        stripes: Option<&StripeConfig>,
     ) -> Result<BudgetedKey, ExplainError> {
         if self.is_empty() {
             return Err(ExplainError::EmptyContext);
@@ -758,33 +661,16 @@ impl ContextIndex {
             supporters,
             heap,
         } = scratch;
-        let mut explain = |exec: &Exec<'_>| {
-            let mut src = IndexCounts {
-                idx: self,
-                x0,
-                class,
-                exec,
-                violators,
-                supporters,
-                materialized: false,
-            };
-            let Ok(run) = greedy::run(&mut src, alpha, budget, heap);
-            run
+        let mut src = IndexCounts {
+            idx: self,
+            x0,
+            class,
+            exec: &Exec::direct(),
+            violators,
+            supporters,
+            materialized: false,
         };
-        let unlimited = budget == WorkBudget::unlimited();
-        let run = match stripes.filter(|s| unlimited && s.engages(self.slots.div_ceil(64))) {
-            None => explain(&Exec::direct()),
-            Some(s) => {
-                cce_obs::counter!("cce_stripe_explains_total").inc();
-                kernels::with_team(s.threads, |team| {
-                    explain(&Exec {
-                        k: kernels::active(),
-                        team,
-                        words_per_stripe: s.words_per_stripe.max(1),
-                    })
-                })
-            }
-        };
+        let Ok(run) = greedy::run(&mut src, alpha, budget, heap);
         record_run!("indexed", &run);
         run.result
     }
@@ -1039,33 +925,6 @@ mod tests {
     }
 
     #[test]
-    fn striped_explain_is_byte_identical() {
-        // Force stripes on at small sizes with an oversubscribed team
-        // (more threads than cores is fine — only slower), so the striped
-        // code path runs even on single-core CI.
-        let stripes = StripeConfig {
-            words_per_stripe: 4,
-            min_words: 1,
-            threads: 3,
-        };
-        for ctx in contexts() {
-            let idx = ContextIndex::with_stripes(&ctx, &stripes);
-            let plain = ContextIndex::new(&ctx);
-            let mut scratch = ExplainScratch::new();
-            for &a in &[1.0, 0.95] {
-                let alpha = Alpha::new(a).unwrap();
-                for t in (0..ctx.len()).step_by(13) {
-                    assert_eq!(
-                        idx.explain_striped(&ctx, t, alpha, &mut scratch, &stripes),
-                        plain.explain(&ctx, t, alpha),
-                        "α={a} target={t}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn rowset_complement_is_exact_at_word_boundaries() {
         for rows in [1usize, 63, 64, 65, 128, 130] {
             let mut s = RowSet::zeros(rows);
@@ -1178,24 +1037,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_seed_build_matches_sequential() {
-        // The scoped-worker seed build must tabulate identical tables.
-        let forced = StripeConfig {
-            words_per_stripe: 8,
-            min_words: 1,
-            threads: 4,
-        };
-        for ctx in contexts() {
-            let par = ContextIndex::with_stripes(&ctx, &forced);
-            let seq = ContextIndex::new(&ctx);
-            for (cp, cs) in par.classes.iter().zip(&seq.classes) {
-                assert_eq!(cp.seed, cs.seed);
-                assert_eq!(cp.size, cs.size);
-            }
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "different context")]
     fn index_rejects_mismatched_context() {
         let cs = contexts();
@@ -1232,8 +1073,8 @@ mod tests {
             for (t, (x, p)) in live.iter().enumerate() {
                 for budget in [WorkBudget::unlimited(), WorkBudget::new(40)] {
                     assert_eq!(
-                        idx.explain_value(x, *p, alpha, budget, &mut s1, None),
-                        rebuilt.explain_value(x, *p, alpha, budget, &mut s2, None),
+                        idx.explain_value(x, *p, alpha, budget, &mut s1),
+                        rebuilt.explain_value(x, *p, alpha, budget, &mut s2),
                         "α={a} target={t} live={}",
                         live.len()
                     );
@@ -1301,14 +1142,7 @@ mod tests {
         let p = ctx.prediction(3);
         let mut scratch = ExplainScratch::new();
         let direct = idx
-            .explain_value(
-                &x,
-                p,
-                Alpha::ONE,
-                WorkBudget::unlimited(),
-                &mut scratch,
-                None,
-            )
+            .explain_value(&x, p, Alpha::ONE, WorkBudget::unlimited(), &mut scratch)
             .unwrap();
         for _ in 0..130 {
             let slot = idx.insert_row(&x, p).unwrap();
@@ -1318,14 +1152,7 @@ mod tests {
         assert_eq!(idx.slot_rows(), slots_before);
         assert_eq!(idx.tombstones(), 0);
         let after = idx
-            .explain_value(
-                &x,
-                p,
-                Alpha::ONE,
-                WorkBudget::unlimited(),
-                &mut scratch,
-                None,
-            )
+            .explain_value(&x, p, Alpha::ONE, WorkBudget::unlimited(), &mut scratch)
             .unwrap();
         assert_eq!(direct, after);
     }

@@ -35,24 +35,16 @@
 //! # Safety argument
 //!
 //! `cce-core` compiles with `#![deny(unsafe_code)]`; the only `unsafe`
-//! in the crate lives in the SIMD submodules and in the stripe team's
-//! job cell ([`stripes`]), each behind this safe vtable:
-//!
-//! * The SIMD kernels are `unsafe fn`s **only** because of
-//!   `#[target_feature]`; they are reachable exclusively through the
-//!   vtable entries installed after the matching `is_*_feature_detected!`
-//!   check succeeded, so the required instructions are guaranteed
-//!   present. They perform no raw-pointer arithmetic beyond
-//!   `slice::as_ptr` loads/stores within `chunks_exact` bounds — every
-//!   index is bounds-derived from safe slice splitting.
-//! * The stripe team erases one closure borrow per job behind a raw
-//!   pointer so parked helper threads can run it; the submitting call
-//!   blocks until every helper has signalled completion, so the borrow
-//!   strictly outlives every dereference (see [`stripes`] for the full
-//!   argument).
+//! in the crate lives in the SIMD submodules, behind this safe vtable.
+//! The SIMD kernels are `unsafe fn`s **only** because of
+//! `#[target_feature]`; they are reachable exclusively through the
+//! vtable entries installed after the matching `is_*_feature_detected!`
+//! check succeeded, so the required instructions are guaranteed
+//! present. They perform no raw-pointer arithmetic beyond
+//! `slice::as_ptr` loads/stores within `chunks_exact` bounds — every
+//! index is bounds-derived from safe slice splitting.
 
 pub mod scalar;
-pub mod stripes;
 
 #[cfg(target_arch = "aarch64")]
 pub mod neon;
@@ -60,8 +52,6 @@ pub mod neon;
 pub mod x86;
 
 use std::sync::{Mutex, OnceLock};
-
-pub use stripes::{with_team, StripeConfig, TeamHandle};
 
 /// Fused `(popcount(p & a), popcount(p & b))` kernel signature.
 pub type CountAnd2Fn = fn(&[u64], &[u64], &[u64]) -> (u64, u64);

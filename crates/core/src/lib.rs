@@ -40,7 +40,7 @@
 //! ([`kernels`]): AVX2 on `x86_64`, NEON on `aarch64`, with a portable
 //! scalar oracle as fallback (force it with `CCE_KERNELS=scalar`). The
 //! crate denies `unsafe_code` globally; the only `unsafe` lives in the
-//! `kernels` SIMD/stripe submodules behind a safe vtable (see the safety
+//! `kernels` SIMD submodules behind a safe vtable (see the safety
 //! argument in [`kernels`]).
 
 #![deny(unsafe_code)]
@@ -51,6 +51,7 @@ pub mod cce;
 pub mod context;
 pub mod engine;
 pub mod error;
+mod fanout;
 pub mod greedy;
 pub mod importance;
 pub mod index;
@@ -74,7 +75,7 @@ pub use engine::BatchEngine;
 pub use error::ExplainError;
 pub use importance::{shapley_exact, shapley_sampled, ImportanceParams, OnlineImportance};
 pub use index::{ContextIndex, ExplainScratch};
-pub use kernels::{Kernels, StripeConfig};
+pub use kernels::Kernels;
 pub use key::RelativeKey;
 pub use monitor::DriftMonitor;
 pub use osrk::{OsrkMonitor, PickRule};

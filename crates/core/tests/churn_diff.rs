@@ -95,7 +95,7 @@ proptest! {
         force_compact in 0u8..2,
     ) {
         let cfg = if force_compact == 1 {
-            EngineConfig { compact_min_slots: 1, max_tombstone_ratio: 0.2, ..EngineConfig::default() }
+            EngineConfig { compact_min_slots: 1, max_tombstone_ratio: 0.2 }
         } else {
             EngineConfig::default()
         };

@@ -1,5 +1,5 @@
 //! Differential property tests pinning every SIMD kernel to the scalar
-//! oracle, and the striped execution to the direct one.
+//! oracle.
 //!
 //! The contract under test is [`cce_core::kernels::Kernels`]: whatever
 //! implementation runtime dispatch selects (AVX2 on `x86_64`, NEON on
@@ -7,17 +7,14 @@
 //! to the always-compiled scalar path — for random word soups, the
 //! adversarial all-ones/all-zeros extremes, single-word ("single-row")
 //! inputs, and every length straddling the 4- and 8-word unrolling
-//! boundaries plus the scalar remainder tail. The striped wrappers must
-//! likewise be invisible: per-stripe partial popcounts reduced at the
-//! join are exact integers, so any stripe width × any team size must
-//! reproduce the direct result bit for bit.
+//! boundaries plus the scalar remainder tail.
 //!
 //! CI runs this suite twice: natively (SIMD dispatched) and with
 //! `CCE_KERNELS=scalar`, which turns the differential pairs into
 //! oracle-vs-oracle identities — proving the override works and keeping
 //! the suite meaningful on SIMD-less hardware.
 
-use cce_core::kernels::{self, scalar, with_team};
+use cce_core::kernels::{self, scalar};
 use proptest::prelude::*;
 
 /// The dispatched implementation vs the oracle on one `(p, a, b)` word
@@ -55,38 +52,6 @@ fn assert_kernels_agree(p: &[u64], a: &[u64], b: &[u64]) {
         p.len()
     );
     assert_eq!(o_simd, o_oracle, "and_not stored words len={}", p.len());
-}
-
-/// Striped execution vs direct kernels on the same inputs, across team
-/// sizes and stripe widths.
-fn assert_stripes_agree(a: &[u64], b: &[u64], threads: usize, words_per_stripe: usize) {
-    let k = kernels::active();
-    with_team(threads, |team| {
-        let Some(team) = team else {
-            assert!(threads <= 1, "a multi-thread team must materialize");
-            return;
-        };
-        assert_eq!(
-            kernels::stripes::count_and(k, team, words_per_stripe, a, b),
-            (k.count_and)(a, b),
-            "striped count_and len={} threads={threads} wps={words_per_stripe}",
-            a.len()
-        );
-        let mut d_striped = a.to_vec();
-        let mut d_direct = a.to_vec();
-        let c_striped =
-            kernels::stripes::and_assign_count(k, team, words_per_stripe, &mut d_striped, b);
-        let c_direct = (k.and_assign_count)(&mut d_direct, b);
-        assert_eq!(c_striped, c_direct, "striped and_assign_count");
-        assert_eq!(d_striped, d_direct, "striped and_assign stored words");
-        let mut o_striped = vec![0u64; a.len()];
-        let mut o_direct = vec![0u64; a.len()];
-        let n_striped =
-            kernels::stripes::and_not_count(k, team, words_per_stripe, &mut o_striped, a, b);
-        let n_direct = (k.and_not_count)(&mut o_direct, a, b);
-        assert_eq!(n_striped, n_direct, "striped and_not_count");
-        assert_eq!(o_striped, o_direct, "striped and_not stored words");
-    });
 }
 
 proptest! {
@@ -131,20 +96,6 @@ proptest! {
         let a = vec![other];
         let b = vec![!other];
         assert_kernels_agree(&p, &a, &b);
-    }
-
-    /// Striped == direct for every (length, team size, stripe width)
-    /// combination drawn — including stripes larger than the input
-    /// (single-stripe degenerate case) and 1-word stripes (maximum
-    /// scheduling churn).
-    #[test]
-    fn striped_matches_direct(
-        a in proptest::collection::vec(any::<u64>(), 0usize..96),
-        threads in 2usize..5,
-        wps in 1usize..40,
-    ) {
-        let b: Vec<u64> = a.iter().map(|w| w.rotate_right(17) ^ 0xdead_beef).collect();
-        assert_stripes_agree(&a, &b, threads, wps);
     }
 }
 

@@ -32,11 +32,7 @@
 //!
 //! Families reported by the kernel layer (`cce-core::kernels`):
 //! `cce_kernel_dispatch_total{path="scalar"|"avx2"|"neon"}` records the
-//! once-per-process SIMD dispatch decision;
-//! `cce_stripe_jobs_total` / `cce_stripe_tasks_total` count striped
-//! kernel passes and the per-stripe tasks they fanned into;
-//! `cce_stripe_explains_total` counts explains that engaged the stripe
-//! team at all (large contexts only).
+//! once-per-process SIMD dispatch decision.
 //!
 //! ```
 //! let hits = cce_obs::counter!("doc_hits_total", "kind" => "example");
@@ -110,6 +106,20 @@ macro_rules! histogram {
     }};
 }
 
+/// Nearest-rank percentile over a **sorted** sample set: the sample at
+/// 1-based rank `⌈q·n⌉`, clamped to `[1, n]`. It is always an observed
+/// sample — never an interpolation, never a histogram bucket bound —
+/// and for q=0.5/0.99 over 1..=100 it returns exactly 50/99. Empty
+/// input returns 0.
+pub fn nearest_rank(sorted: &[u64], q: f64) -> u64 {
+    if sorted.is_empty() {
+        return 0;
+    }
+    let n = sorted.len();
+    let rank = (q * n as f64).ceil() as usize;
+    sorted[rank.clamp(1, n) - 1]
+}
+
 /// Serializes tests that toggle [`set_enabled`] or assert exact counts —
 /// the registry and switch are process-global, and `cargo test` runs
 /// tests on concurrent threads.
@@ -123,6 +133,27 @@ pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Pins the nearest-rank definition on the canonical 1..=100 vector
+    /// and on the tiny inputs where a rounded `(n-1)·q` index or a
+    /// log₂ bucket bound drifts off the named order statistic.
+    #[test]
+    fn nearest_rank_pins_order_statistics() {
+        let v: Vec<u64> = (1..=100).collect();
+        assert_eq!(nearest_rank(&v, 0.50), 50);
+        assert_eq!(nearest_rank(&v, 0.90), 90);
+        assert_eq!(nearest_rank(&v, 0.99), 99);
+        assert_eq!(nearest_rank(&v, 1.00), 100);
+        // ⌈0.001·100⌉ = 1 → the minimum, and q=0 clamps up to rank 1.
+        assert_eq!(nearest_rank(&v, 0.001), 1);
+        assert_eq!(nearest_rank(&v, 0.0), 1);
+        assert_eq!(nearest_rank(&[], 0.5), 0);
+        assert_eq!(nearest_rank(&[7], 0.5), 7);
+        assert_eq!(nearest_rank(&[7], 0.99), 7);
+        // n=2: p50 is the first sample (⌈1.0⌉=1), p99 the second.
+        assert_eq!(nearest_rank(&[3, 9], 0.5), 3);
+        assert_eq!(nearest_rank(&[3, 9], 0.99), 9);
+    }
 
     #[test]
     fn macros_return_interned_statics() {

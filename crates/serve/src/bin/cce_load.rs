@@ -354,20 +354,6 @@ fn run_open(
     ))
 }
 
-/// Nearest-rank percentile over a **sorted** sample set: the value at
-/// rank `⌈q·n⌉` (1-based), clamped to `[1, n]`. This is an actual
-/// observed sample — never an interpolation, never the bucket bound of
-/// a coarse histogram — and for q=0.5/0.99 over 1..=100 it returns
-/// exactly 50/99. Empty input returns 0 (no requests completed).
-fn percentile_nearest_rank(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let n = sorted.len();
-    let rank = (q * n as f64).ceil() as usize;
-    sorted[rank.clamp(1, n) - 1]
-}
-
 fn report(
     mode: &'static str,
     conns: usize,
@@ -378,7 +364,7 @@ fn report(
     wall: Duration,
 ) -> PointReport {
     samples_ns.sort_unstable();
-    let us = |q: f64| percentile_nearest_rank(&samples_ns, q) as f64 / 1_000.0;
+    let us = |q: f64| cce_obs::nearest_rank(&samples_ns, q) as f64 / 1_000.0;
     let mean_us = if samples_ns.is_empty() {
         0.0
     } else {
@@ -709,33 +695,6 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Pins the nearest-rank definition on the canonical 1..=100 vector:
-    /// p50 is exactly 50 and p99 exactly 99 — the rounded `(n-1)·q`
-    /// index (50.5 → position 49 → 50… but 99 → position 98.01 → 99.0
-    /// only by luck of rounding) and log2 bucket bounds both drift off
-    /// these on at least one of the pinned points.
-    #[test]
-    fn nearest_rank_pins_p50_p99_of_1_to_100() {
-        let v: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile_nearest_rank(&v, 0.50), 50);
-        assert_eq!(percentile_nearest_rank(&v, 0.90), 90);
-        assert_eq!(percentile_nearest_rank(&v, 0.99), 99);
-        assert_eq!(percentile_nearest_rank(&v, 1.00), 100);
-        // ⌈0.001·100⌉ = 1 → the minimum, and q=0 clamps up to rank 1.
-        assert_eq!(percentile_nearest_rank(&v, 0.001), 1);
-        assert_eq!(percentile_nearest_rank(&v, 0.0), 1);
-    }
-
-    #[test]
-    fn nearest_rank_handles_tiny_sample_sets() {
-        assert_eq!(percentile_nearest_rank(&[], 0.5), 0);
-        assert_eq!(percentile_nearest_rank(&[7], 0.5), 7);
-        assert_eq!(percentile_nearest_rank(&[7], 0.99), 7);
-        // n=2: p50 is the first sample (⌈1.0⌉=1), p99 the second.
-        assert_eq!(percentile_nearest_rank(&[3, 9], 0.5), 3);
-        assert_eq!(percentile_nearest_rank(&[3, 9], 0.99), 9);
-    }
 
     /// 409 must land in its own bucket — it is a semantic "no conformant
     /// key" answer, not a protocol error — while every other 4xx stays

@@ -83,8 +83,7 @@ pub fn build_app<V: Vfs>(
 
 /// [`build_app`] with an explicit [`EngineConfig`] and an optional
 /// [`LiveWindow`] bound on the ingest context — the CLI's entry point,
-/// carrying the `--stripe-*` flags into the engine and
-/// `--window`/`--window-delta` into the ΔI slide policy.
+/// carrying `--window`/`--window-delta` into the ΔI slide policy.
 #[allow(clippy::too_many_arguments)]
 pub fn build_app_with<V: Vfs>(
     ctx: Context,
