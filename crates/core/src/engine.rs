@@ -21,11 +21,11 @@
 //!   receive identical keys, so each equivalence class in a batch is
 //!   explained once and the result fanned out
 //!   (`cce_batch_memo_hits_total`); results are additionally memoized
-//!   *across* batches keyed by `(class, budget)`
+//!   *across* batches keyed by `(instance, prediction, budget)`
 //!   (`cce_engine_memo_hits_total`). The **memo-invalidation rule**: any
 //!   delta bumps [`BatchEngine::version`] and clears the memo — every
 //!   cached key is provably valid for exactly one context version —
-//!   and compaction clears it too (class ids are renumbered).
+//!   and compaction clears it too.
 //! * **Budgeted degradation** — a non-unlimited [`WorkBudget`] routes
 //!   through the budget-accounted indexed path, byte-identical to
 //!   [`Srk::explain_budgeted`] including its degradation points, so an
@@ -89,17 +89,18 @@ pub struct BatchEngine {
     rows: Vec<(Instance, Label)>,
     /// Live slots in arrival order — the logical-index → slot map.
     order: VecDeque<u32>,
-    /// `(instance, prediction)` → duplicate-class id. Grows with churn,
-    /// renumbered at compaction.
-    dup_of: HashMap<(Instance, Label), u32>,
-    /// Slot → duplicate-class id.
-    class_of: Vec<u32>,
     /// Bumped by every delta; each memo entry is valid for exactly one
     /// version (the memo-invalidation rule).
     version: u64,
-    /// `(class, budget.max_scans)` → result, cleared on version bump.
-    memo: Mutex<HashMap<(u32, u64), Result<BudgetedKey, ExplainError>>>,
+    /// Instance → `(prediction, budget.max_scans, result)` of each
+    /// duplicate class explained at this version; cleared on version
+    /// bump. Keyed by content, so the duplicate-row partition costs
+    /// nothing to keep across deltas.
+    memo: Mutex<HashMap<Instance, Vec<Memoized>>>,
 }
+
+/// One memoized explain: `(prediction, budget.max_scans, result)`.
+type Memoized = (Label, u64, Result<BudgetedKey, ExplainError>);
 
 impl Clone for BatchEngine {
     fn clone(&self) -> Self {
@@ -111,8 +112,6 @@ impl Clone for BatchEngine {
             idx: self.idx.clone(),
             rows: self.rows.clone(),
             order: self.order.clone(),
-            dup_of: self.dup_of.clone(),
-            class_of: self.class_of.clone(),
             version: self.version,
             memo: Mutex::new(self.memo.lock().unwrap_or_else(|e| e.into_inner()).clone()),
         }
@@ -137,15 +136,6 @@ impl BatchEngine {
         for r in 0..n {
             rows.push((ctx.instance(r).clone(), ctx.prediction(r)));
         }
-        let (mut dup_of, mut class_of) = (HashMap::with_capacity(n), Vec::with_capacity(n));
-        let mut next = 0u32;
-        for (x, p) in &rows {
-            let id = *dup_of.entry((x.clone(), *p)).or_insert_with(|| {
-                next += 1;
-                next - 1
-            });
-            class_of.push(id);
-        }
         Self {
             schema,
             alpha,
@@ -154,8 +144,6 @@ impl BatchEngine {
             idx,
             rows,
             order: (0..n as u32).collect(),
-            dup_of,
-            class_of,
             version: 0,
             memo: Mutex::new(HashMap::new()),
         }
@@ -228,12 +216,6 @@ impl BatchEngine {
     pub fn push(&mut self, x: Instance, pred: Label) -> Result<usize, ExplainError> {
         let slot = self.idx.insert_row(&x, pred)?;
         debug_assert_eq!(slot, self.rows.len());
-        // Ids are dense and never freed before compaction, so the next
-        // free id is the partition's size — not the max over `class_of`,
-        // which forgets the ids of reclaimed tail slots.
-        let next = self.dup_of.len() as u32;
-        let class = *self.dup_of.entry((x.clone(), pred)).or_insert(next);
-        self.class_of.push(class);
         self.rows.push((x, pred));
         self.order.push_back(slot as u32);
         self.bump_version();
@@ -264,7 +246,6 @@ impl BatchEngine {
     fn reclaim_tail(&mut self) {
         if self.idx.truncate_dead_tail() > 0 {
             self.rows.truncate(self.idx.slot_rows());
-            self.class_of.truncate(self.idx.slot_rows());
         }
     }
 
@@ -285,10 +266,10 @@ impl BatchEngine {
         }
     }
 
-    /// Compacts: rebuilds the index dense over the live rows, renumbers
-    /// slots to `0..len()`, and rebuilds the duplicate-class partition.
-    /// Logical indices, explain results, and the materialized context are
-    /// unchanged; the memo is cleared because class ids are renumbered.
+    /// Compacts: rebuilds the index dense over the live rows and
+    /// renumbers slots to `0..len()`. Logical indices, explain results,
+    /// and the materialized context are unchanged; the memo is cleared
+    /// with the version bump.
     pub fn compact(&mut self) {
         let ctx = self.materialize();
         cce_obs::counter!("cce_engine_compactions_total").inc();
@@ -300,8 +281,8 @@ impl BatchEngine {
                 compact_min_slots: self.compact_min_slots,
             },
         );
-        // Compaction is a physical reorganization, but cached results
-        // keyed by the old class numbering must not survive it.
+        // Compaction is a physical reorganization, but it is still a new
+        // context version: caches keyed by version must not survive it.
         self.version += 1;
     }
 
@@ -321,12 +302,11 @@ impl BatchEngine {
         let Some(&slot) = self.order.get(target) else {
             return Err(self.range_error(target));
         };
-        let class = self.class_of[slot as usize];
-        if let Some(hit) = self.memo_get(class, budget) {
+        if let Some(hit) = self.memo_get(slot, budget) {
             return hit;
         }
         let result = self.explain_slot(slot as usize, budget, &mut ExplainScratch::new());
-        self.memo_put(class, budget, &result);
+        self.memo_put(slot, budget, &result);
         result
     }
 
@@ -341,28 +321,31 @@ impl BatchEngine {
         }
     }
 
-    fn memo_get(
-        &self,
-        class: u32,
-        budget: WorkBudget,
-    ) -> Option<Result<BudgetedKey, ExplainError>> {
-        let hit = self
-            .memo
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(&(class, budget.max_scans))
-            .cloned();
+    /// The memoized result for slot `slot`'s duplicate class under
+    /// `budget`, if any.
+    fn memo_get(&self, slot: u32, budget: WorkBudget) -> Option<Result<BudgetedKey, ExplainError>> {
+        let (x, p) = &self.rows[slot as usize];
+        let memo = self.memo.lock().unwrap_or_else(|e| e.into_inner());
+        let hit = memo
+            .get(x)?
+            .iter()
+            .find_map(|(q, scans, r)| (q == p && *scans == budget.max_scans).then(|| r.clone()));
         if hit.is_some() {
             cce_obs::counter!("cce_engine_memo_hits_total").inc();
         }
         hit
     }
 
-    fn memo_put(&self, class: u32, budget: WorkBudget, result: &Result<BudgetedKey, ExplainError>) {
-        self.memo
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert((class, budget.max_scans), result.clone());
+    fn memo_put(&self, slot: u32, budget: WorkBudget, result: &Result<BudgetedKey, ExplainError>) {
+        let (x, p) = &self.rows[slot as usize];
+        let entry = (*p, budget.max_scans, result.clone());
+        let mut memo = self.memo.lock().unwrap_or_else(|e| e.into_inner());
+        match memo.get_mut(x) {
+            Some(entries) => entries.push(entry),
+            None => {
+                memo.insert(x.clone(), vec![entry]);
+            }
+        }
     }
 
     /// Explains `(x, pred)` as a *transient member* of the context: the
@@ -411,15 +394,16 @@ impl BatchEngine {
         budget: WorkBudget,
         threads: usize,
     ) -> Vec<Result<BudgetedKey, ExplainError>> {
-        // Unique classes among the valid targets, first-seen order, each
-        // with a representative slot.
-        let mut slot_of_class: HashMap<u32, usize> = HashMap::with_capacity(targets.len());
-        let mut uniques: Vec<(u32, u32)> = Vec::with_capacity(targets.len());
+        // Unique duplicate classes among the valid targets, first-seen
+        // order, each with a representative slot.
+        let mut unique_of: HashMap<(&Instance, Label), usize> =
+            HashMap::with_capacity(targets.len());
+        let mut uniques: Vec<u32> = Vec::with_capacity(targets.len());
         for &t in targets {
             if let Some(&slot) = self.order.get(t) {
-                let class = self.class_of[slot as usize];
-                slot_of_class.entry(class).or_insert_with(|| {
-                    uniques.push((class, slot));
+                let (x, p) = &self.rows[slot as usize];
+                unique_of.entry((x, *p)).or_insert_with(|| {
+                    uniques.push(slot);
                     uniques.len() - 1
                 });
             }
@@ -432,17 +416,17 @@ impl BatchEngine {
         // Cross-batch memo probe: only the missing classes compute.
         let mut results: Vec<Option<Result<BudgetedKey, ExplainError>>> = uniques
             .iter()
-            .map(|&(c, _)| self.memo_get(c, budget))
+            .map(|&slot| self.memo_get(slot, budget))
             .collect();
         let misses: Vec<(usize, u32)> = results
             .iter()
             .enumerate()
             .filter(|(_, r)| r.is_none())
-            .map(|(i, _)| (i, uniques[i].1))
+            .map(|(i, _)| (i, uniques[i]))
             .collect();
         let computed = self.explain_classes(&misses, budget, threads);
-        for ((i, _), result) in misses.iter().zip(computed) {
-            self.memo_put(uniques[*i].0, budget, &result);
+        for ((i, slot), result) in misses.iter().zip(computed) {
+            self.memo_put(*slot, budget, &result);
             results[*i] = Some(result);
         }
 
@@ -452,8 +436,10 @@ impl BatchEngine {
                 let Some(&slot) = self.order.get(t) else {
                     return Err(self.range_error(t));
                 };
-                let unique = slot_of_class[&self.class_of[slot as usize]];
-                results[unique].clone().expect("every unique was resolved")
+                let (x, p) = &self.rows[slot as usize];
+                results[unique_of[&(x, *p)]]
+                    .clone()
+                    .expect("every unique was resolved")
             })
             .collect()
     }
@@ -688,10 +674,9 @@ mod tests {
         ));
     }
 
-    /// Draining the engine reclaims every slot, but the duplicate-class
-    /// ids of the drained rows stay mapped until compaction. A later
-    /// push must not reuse one of them for a different `(x, p)`, or two
-    /// distinct targets of one batch would share a key.
+    /// Draining the engine reclaims every slot; later pushes reuse the
+    /// slots for different `(x, p)` rows, and no two distinct targets of
+    /// one batch may share a key.
     #[test]
     fn pushes_after_a_drain_keep_distinct_classes() {
         let old = loan_ctx(60);

@@ -1,6 +1,6 @@
 //! The one place `cce-core` spawns explain threads.
 //!
-//! Whole-context batches ([`Cce::explain_all_parallel`]) and serve
+//! Whole-context batches ([`Cce::explain_all_parallel`]) and engine
 //! micro-batches ([`BatchEngine::explain_batch`]) both reduce to the
 //! same shape: `n` independent explains over one read-only index.
 //! [`fan_out`] runs them over a scoped team that claims work from one
@@ -20,7 +20,8 @@ use crate::index::ExplainScratch;
 /// in index order.
 ///
 /// With `threads <= 1` or `n <= 1` everything runs on the caller and no
-/// thread spawns. Otherwise the caller and `threads - 1` scoped workers
+/// thread spawns; each spawned worker counts once in
+/// `cce_threads_spawned_total`. Otherwise the caller and `threads - 1` scoped workers
 /// claim chunks of indices from one cursor, sized so each worker claims
 /// about 8 of them: large enough to keep cursor contention negligible,
 /// small enough that skewed items rebalance. Each worker keeps one
@@ -66,6 +67,7 @@ where
         std::thread::scope(|scope| {
             for _ in 1..threads {
                 scope.spawn(work);
+                cce_obs::counter!("cce_threads_spawned_total").inc();
             }
             work();
         });

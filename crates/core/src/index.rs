@@ -39,7 +39,7 @@ use crate::alpha::Alpha;
 use crate::context::Context;
 use crate::error::ExplainError;
 use crate::greedy::{self, record_run, CandidateHeap, CountSource};
-use crate::kernels::{self, Kernels};
+use crate::kernels;
 use crate::key::RelativeKey;
 use crate::srk::{BudgetedKey, WorkBudget};
 
@@ -144,6 +144,36 @@ impl RowSet {
         (ca as usize, cb as usize)
     }
 
+    /// `|self ∩ other|`.
+    fn count_and(&self, other: &RowSet) -> usize {
+        self.debug_assert_tail_clear();
+        other.debug_assert_tail_clear();
+        debug_assert_eq!(self.words.len(), other.words.len());
+        (kernels::active().count_and)(&self.words, &other.words) as usize
+    }
+
+    /// `self ∩= other`, returning the new cardinality so the loop head
+    /// never re-popcounts the whole set.
+    fn and_assign_count(&mut self, other: &RowSet) -> usize {
+        self.debug_assert_tail_clear();
+        other.debug_assert_tail_clear();
+        debug_assert_eq!(self.words.len(), other.words.len());
+        (kernels::active().and_assign_count)(&mut self.words, &other.words) as usize
+    }
+
+    /// Overwrites `self` with `b ∩ ¬a`, returning the new cardinality —
+    /// the fused first-pick materialization of the violator set
+    /// (`posting ∩ ¬class`) in a single pass. `b`'s clear tail keeps the
+    /// result's tail clear without masking.
+    fn copy_and_not_count(&mut self, b: &RowSet, a: &RowSet) -> usize {
+        b.debug_assert_tail_clear();
+        a.debug_assert_tail_clear();
+        debug_assert_eq!(b.words.len(), a.words.len());
+        self.rows = b.rows;
+        self.words.resize(b.words.len(), 0);
+        (kernels::active().and_not_count)(&mut self.words, &b.words, &a.words) as usize
+    }
+
     /// `self ∩= other`.
     fn and_assign(&mut self, other: &RowSet) {
         self.debug_assert_tail_clear();
@@ -178,50 +208,6 @@ impl RowSet {
                 *last &= (1u64 << tail) - 1;
             }
         }
-    }
-}
-
-/// Execution environment for one explanation: the dispatched kernel
-/// vtable.
-struct Exec {
-    k: &'static Kernels,
-}
-
-impl Exec {
-    /// Execution through the process-selected kernels.
-    fn direct() -> Self {
-        Exec {
-            k: kernels::active(),
-        }
-    }
-
-    fn count_and(&self, a: &RowSet, b: &RowSet) -> usize {
-        a.debug_assert_tail_clear();
-        b.debug_assert_tail_clear();
-        debug_assert_eq!(a.words.len(), b.words.len());
-        (self.k.count_and)(&a.words, &b.words) as usize
-    }
-
-    /// `dst ∩= src`, returning the new cardinality so the loop head
-    /// never re-popcounts the whole set.
-    fn and_assign_count(&self, dst: &mut RowSet, src: &RowSet) -> usize {
-        dst.debug_assert_tail_clear();
-        src.debug_assert_tail_clear();
-        debug_assert_eq!(dst.words.len(), src.words.len());
-        (self.k.and_assign_count)(&mut dst.words, &src.words) as usize
-    }
-
-    /// Overwrites `dst` with `b ∩ ¬a`, returning the new cardinality —
-    /// the fused first-pick materialization of the violator set
-    /// (`posting ∩ ¬class`) in a single pass. `b`'s clear tail keeps the
-    /// result's tail clear without masking.
-    fn copy_and_not_count(&self, dst: &mut RowSet, b: &RowSet, a: &RowSet) -> usize {
-        b.debug_assert_tail_clear();
-        a.debug_assert_tail_clear();
-        debug_assert_eq!(b.words.len(), a.words.len());
-        dst.rows = b.rows;
-        dst.words.resize(b.words.len(), 0);
-        (self.k.and_not_count)(&mut dst.words, &b.words, &a.words) as usize
     }
 }
 
@@ -287,12 +273,11 @@ impl ClassIndex {
 }
 
 /// The in-RAM count source: live violator and supporter bitsets
-/// intersected with postings through an [`Exec`].
+/// intersected with postings through the dispatched kernels.
 struct IndexCounts<'a> {
     idx: &'a ContextIndex,
     x0: &'a Instance,
     class: &'a ClassIndex,
-    exec: &'a Exec,
     violators: &'a mut RowSet,
     supporters: &'a mut RowSet,
     /// Whether the first pick has materialized the live sets.
@@ -318,27 +303,25 @@ impl CountSource for IndexCounts<'_> {
 
     fn surv(&mut self, f: usize) -> Result<usize, Infallible> {
         let posting = &self.idx.by_value[f][self.x0[f] as usize];
-        Ok(self.exec.count_and(self.violators, posting))
+        Ok(self.violators.count_and(posting))
     }
 
     fn cover(&mut self, f: usize) -> Result<usize, Infallible> {
         let posting = &self.idx.by_value[f][self.x0[f] as usize];
-        Ok(self.exec.count_and(self.supporters, posting))
+        Ok(self.supporters.count_and(posting))
     }
 
     fn pick(&mut self, f: usize) -> Result<usize, Infallible> {
         let posting = &self.idx.by_value[f][self.x0[f] as usize];
         if self.materialized {
             self.supporters.and_assign(posting);
-            return Ok(self.exec.and_assign_count(self.violators, posting));
+            return Ok(self.violators.and_assign_count(posting));
         }
         // First pick: materialize the live sets fused with the pick's
         // intersection — `posting ∩ ¬class` and `posting ∩ class`.
         self.materialized = true;
         self.supporters.copy_and_from(posting, &self.class.rows);
-        Ok(self
-            .exec
-            .copy_and_not_count(self.violators, posting, &self.class.rows))
+        Ok(self.violators.copy_and_not_count(posting, &self.class.rows))
     }
 
     fn twin_violators(&self) -> Option<usize> {
@@ -501,7 +484,7 @@ impl ContextIndex {
                     covers[2 * c + 1] = c1;
                 }
                 if let [last] = pairs.remainder() {
-                    covers[classes.len() - 1] = Exec::direct().count_and(posting, &last.rows);
+                    covers[classes.len() - 1] = posting.count_and(&last.rows);
                 }
                 for (class, &cover) in classes.iter_mut().zip(&covers) {
                     class.seed[f][v] = (total - cover, cover);
@@ -665,7 +648,6 @@ impl ContextIndex {
             idx: self,
             x0,
             class,
-            exec: &Exec::direct(),
             violators,
             supporters,
             materialized: false,
@@ -934,7 +916,7 @@ mod tests {
             }
             let c = not(&s);
             assert_eq!(s.count() + c.count(), rows, "rows={rows}");
-            assert_eq!(Exec::direct().count_and(&s, &c), 0);
+            assert_eq!(s.count_and(&c), 0);
         }
     }
 
@@ -955,7 +937,7 @@ mod tests {
                 }
             }
             let mut fused = RowSet::default();
-            let live = Exec::direct().copy_and_not_count(&mut fused, &posting, &class);
+            let live = fused.copy_and_not_count(&posting, &class);
             let mut expected = not(&class);
             expected.and_assign(&posting);
             assert_eq!(fused, expected, "rows={rows}");
@@ -987,8 +969,8 @@ mod tests {
                 }
             }
             let (ca, cb) = p.count_and2(&a, &b);
-            assert_eq!(ca, Exec::direct().count_and(&p, &a), "rows={rows}");
-            assert_eq!(cb, Exec::direct().count_and(&p, &b), "rows={rows}");
+            assert_eq!(ca, p.count_and(&a), "rows={rows}");
+            assert_eq!(cb, p.count_and(&b), "rows={rows}");
         }
     }
 
@@ -1005,12 +987,8 @@ mod tests {
                     b.set(r);
                 }
             }
-            let expected = Exec::direct().count_and(&a, &b);
-            assert_eq!(
-                Exec::direct().and_assign_count(&mut a, &b),
-                expected,
-                "rows={rows}"
-            );
+            let expected = a.count_and(&b);
+            assert_eq!(a.and_assign_count(&b), expected, "rows={rows}");
             assert_eq!(a.count(), expected);
         }
     }

@@ -85,4 +85,4 @@ pub use persist::{Durable, PersistError, PersistState, Replayable};
 pub use recorder::Recorder;
 pub use srk::{BudgetedKey, ExplainStatus, Srk, WorkBudget};
 pub use ssrk::SsrkMonitor;
-pub use window::{ResolutionPolicy, SlidingWindow};
+pub use window::{LiveWindow, ResolutionPolicy, SlidingWindow};

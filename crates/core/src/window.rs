@@ -37,11 +37,42 @@ pub enum ResolutionPolicy {
     UnionKey,
 }
 
+/// The ΔI slide rule over a live context: once the engine holds more
+/// than `capacity` rows, every `delta` further arrivals evict the `delta`
+/// oldest — each a tombstone delta, never a rebuild.
+///
+/// [`SlidingWindow`] and the serving daemon's `--window` both slide
+/// through [`LiveWindow::slide`]; each keeps its own staged count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LiveWindow {
+    /// Live rows beyond which the context starts sliding.
+    pub capacity: usize,
+    /// ΔI: evictions happen in granules of this many rows.
+    pub delta: usize,
+}
+
+impl LiveWindow {
+    /// Applies the rule after one arrival has joined `engine`. `staged`
+    /// counts the arrivals past capacity since the last slide; returns
+    /// the rows this call evicted (0 unless it completed a granule).
+    pub fn slide(&self, engine: &mut BatchEngine, staged: &mut usize) -> usize {
+        if engine.len() <= self.capacity {
+            return 0;
+        }
+        *staged += 1;
+        if *staged < self.delta {
+            return 0;
+        }
+        let evicted = engine.evict_oldest(*staged);
+        *staged = 0;
+        evicted
+    }
+}
+
 /// A bounded, sliding explanation context.
 #[derive(Debug, Clone)]
 pub struct SlidingWindow {
-    capacity: usize,
-    delta: usize,
+    window: LiveWindow,
     policy: ResolutionPolicy,
     /// The live, delta-patched index over the windowed rows.
     engine: BatchEngine,
@@ -67,8 +98,7 @@ impl SlidingWindow {
         assert!(capacity > 0, "capacity must be positive");
         assert!(delta > 0 && delta <= capacity, "ΔI must be in 1..=capacity");
         Self {
-            capacity,
-            delta,
+            window: LiveWindow { capacity, delta },
             policy,
             engine: BatchEngine::new(Context::new(schema, Vec::new(), Vec::new()), alpha),
             staged: 0,
@@ -100,13 +130,8 @@ impl SlidingWindow {
     /// [`ExplainError::WidthMismatch`] on a wrong-width instance.
     pub fn push(&mut self, x: Instance, pred: Label) -> Result<(), ExplainError> {
         self.engine.push(x, pred)?;
-        if self.engine.len() > self.capacity {
-            self.staged += 1;
-            if self.staged >= self.delta {
-                self.engine.evict_oldest(self.staged);
-                self.staged = 0;
-                cce_obs::counter!("cce_window_slides_total").inc();
-            }
+        if self.window.slide(&mut self.engine, &mut self.staged) > 0 {
+            cce_obs::counter!("cce_window_slides_total").inc();
         }
         Ok(())
     }
@@ -194,8 +219,8 @@ impl crate::persist::PersistState for SlidingWindow {
 
     fn encode_state(&self, enc: &mut crate::persist::Enc) {
         enc.schema(self.engine.schema());
-        enc.usize(self.capacity);
-        enc.usize(self.delta);
+        enc.usize(self.window.capacity);
+        enc.usize(self.window.delta);
         enc.f64(self.engine.alpha().get());
         enc.u8(match self.policy {
             ResolutionPolicy::FirstWins => 0,
@@ -269,8 +294,7 @@ impl crate::persist::PersistState for SlidingWindow {
         // One bulk build on recovery; deltas take over from here.
         let engine = BatchEngine::new(Context::new(schema, xs, ps), alpha);
         Ok(Self {
-            capacity,
-            delta,
+            window: LiveWindow { capacity, delta },
             policy,
             engine,
             staged,

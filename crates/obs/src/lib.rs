@@ -120,6 +120,72 @@ pub fn nearest_rank(sorted: &[u64], q: f64) -> u64 {
     sorted[rank.clamp(1, n) - 1]
 }
 
+/// Extracts every `"<key>": <number>` occurrence from a JSON document, in
+/// document order — enough structure for a baseline comparison without
+/// a JSON dependency.
+pub fn extract_numbers(doc: &str, key: &str) -> Vec<f64> {
+    let needle = format!("\"{key}\":");
+    let mut out = Vec::new();
+    let mut rest = doc;
+    while let Some(pos) = rest.find(&needle) {
+        rest = &rest[pos + needle.len()..];
+        let num: String = rest
+            .trim_start()
+            .chars()
+            .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-' || *c == 'e')
+            .collect();
+        if let Ok(v) = num.parse::<f64>() {
+            out.push(v);
+        }
+    }
+    out
+}
+
+/// The baseline gate every bench binary and `cce-load` share: compares
+/// each `key` entry of `current` against the same entry of `baseline`
+/// and returns the number of failures (0 = pass).
+///
+/// An entry regresses when it falls below `min_ratio` × its baseline. A
+/// *malformed* baseline also fails, loudly: no `key` entries, a shape
+/// mismatch, or a zero/negative/NaN reference value. A gate that
+/// silently skips on bad reference data passes every regression.
+pub fn check_key(current: &str, baseline: &str, key: &str, min_ratio: f64) -> usize {
+    let cur = extract_numbers(current, key);
+    let base = extract_numbers(baseline, key);
+    if base.is_empty() {
+        eprintln!("GATE FAILURE: baseline has no \"{key}\" fields — regenerate the baseline");
+        return 1;
+    }
+    if cur.len() != base.len() {
+        eprintln!(
+            "GATE FAILURE: baseline shape mismatch for \"{key}\" ({} vs {} entries) — regenerate the baseline",
+            base.len(),
+            cur.len()
+        );
+        return 1;
+    }
+    let mut failures = 0;
+    for (i, (c, b)) in cur.iter().zip(&base).enumerate() {
+        if !(b.is_finite() && *b > 0.0) {
+            eprintln!(
+                "GATE FAILURE: \"{key}\" entry {i}: baseline value {b} is not a positive number"
+            );
+            failures += 1;
+            continue;
+        }
+        if *c < min_ratio * *b {
+            eprintln!(
+                "REGRESSION: \"{key}\" entry {i}: {c:.3} vs baseline {b:.3} (>{:.0}% drop)",
+                (1.0 - c / b) * 100.0
+            );
+            failures += 1;
+        } else {
+            eprintln!("ok: \"{key}\" entry {i}: {c:.3} vs baseline {b:.3}");
+        }
+    }
+    failures
+}
+
 /// Serializes tests that toggle [`set_enabled`] or assert exact counts —
 /// the registry and switch are process-global, and `cargo test` runs
 /// tests on concurrent threads.
@@ -153,6 +219,80 @@ mod tests {
         // n=2: p50 is the first sample (⌈1.0⌉=1), p99 the second.
         assert_eq!(nearest_rank(&[3, 9], 0.5), 3);
         assert_eq!(nearest_rank(&[3, 9], 0.99), 9);
+    }
+
+    /// A two-key gate the way each bench binary composes one.
+    fn gate(current: &str, baseline: &str) -> usize {
+        check_key(current, baseline, "after_rows_per_sec", 0.8)
+            + check_key(current, baseline, "explains_per_sec", 0.8)
+    }
+
+    const CUR: &str = r#"{
+  "large_context": {"explains_per_sec": 500.0},
+  "results": [{"after_rows_per_sec": 1000.0}, {"after_rows_per_sec": 2000.0}]
+}"#;
+
+    #[test]
+    fn healthy_baseline_passes_and_regressions_fail() {
+        assert_eq!(gate(CUR, CUR), 0);
+        let fast = r#"{
+  "large_context": {"explains_per_sec": 500.0},
+  "results": [{"after_rows_per_sec": 9000.0}, {"after_rows_per_sec": 2000.0}]
+}"#;
+        assert_eq!(gate(CUR, fast), 1);
+        // The tolerance is the caller's: `cce-load`'s 0.5× passes a drop
+        // the bench gates' 0.8× fails.
+        let cur = r#"{"load_points": [{"throughput_rps": 100.0}, {"throughput_rps": 200.0}]}"#;
+        let good = r#"{"load_points": [{"throughput_rps": 150.0}, {"throughput_rps": 150.0}]}"#;
+        assert_eq!(check_key(cur, good, "throughput_rps", 0.5), 0);
+        assert_eq!(check_key(cur, good, "throughput_rps", 0.8), 1);
+        let fast = r#"{"load_points": [{"throughput_rps": 900.0}, {"throughput_rps": 150.0}]}"#;
+        assert_eq!(check_key(cur, fast, "throughput_rps", 0.5), 1);
+    }
+
+    /// The corrupted-baseline matrix: every malformation must FAIL the
+    /// gate (non-zero), never silently pass.
+    #[test]
+    fn corrupted_baseline_fails_loudly() {
+        // Missing key entirely (e.g. a baseline from an older shape).
+        let no_large =
+            r#"{"results": [{"after_rows_per_sec": 1000.0}, {"after_rows_per_sec": 2000.0}]}"#;
+        assert!(gate(CUR, no_large) > 0);
+        // Truncated results array (shape mismatch).
+        let truncated = r#"{
+  "large_context": {"explains_per_sec": 500.0},
+  "results": [{"after_rows_per_sec": 1000.0}]
+}"#;
+        assert!(gate(CUR, truncated) > 0);
+        // Zeroed field: any current value would beat 0.8 × 0.
+        let zeroed = r#"{
+  "large_context": {"explains_per_sec": 0},
+  "results": [{"after_rows_per_sec": 1000.0}, {"after_rows_per_sec": 2000.0}]
+}"#;
+        assert!(gate(CUR, zeroed) > 0);
+        // NaN field: every comparison against NaN is false → would pass.
+        for nan in ["NaN", "nan"] {
+            let doc = format!(
+                r#"{{
+  "large_context": {{"explains_per_sec": 500.0}},
+  "results": [{{"after_rows_per_sec": {nan}}}, {{"after_rows_per_sec": 2000.0}}]
+}}"#
+            );
+            assert!(gate(CUR, &doc) > 0, "{nan}");
+        }
+        // Outright garbage / empty document.
+        assert!(gate(CUR, "{}") > 0);
+        assert!(gate(CUR, "not json at all") > 0);
+        // The same matrix at `cce-load`'s tolerance.
+        let cur = r#"{"load_points": [{"throughput_rps": 100.0}, {"throughput_rps": 200.0}]}"#;
+        for bad in [
+            r#"{"load_points": [{"throughput_rps": 90.0}]}"#,
+            r#"{"load_points": [{"throughput_rps": 0}, {"throughput_rps": 150.0}]}"#,
+            r#"{"load_points": [{"throughput_rps": nan}, {"throughput_rps": 150.0}]}"#,
+            "{}",
+        ] {
+            assert!(check_key(cur, bad, "throughput_rps", 0.5) > 0, "{bad}");
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Budgeted admission control: the overload state machine.
 //!
-//! Before every explain the daemon feeds its backend's load, arrival
+//! Before every explain the daemon feeds the explains in flight, arrival
 //! included, through three levels:
 //!
 //! ```text

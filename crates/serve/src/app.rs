@@ -6,8 +6,9 @@
 //! the production handler on the fault-injecting `MemVfs`.
 //!
 //! Every explain path sits behind one [`Backend`]; the routes never ask
-//! which one. The drain `503`, the `429` shed decision, answer rendering
-//! and the ingest ack are each written here once.
+//! which one. The drain `503`, the in-flight count admission observes,
+//! the `429` shed decision, the `500` for a panicking explain, answer
+//! rendering and the ingest ack are each written here once.
 //!
 //! Endpoints:
 //!
@@ -20,12 +21,13 @@
 //! | `POST /admin/shutdown`         | begins graceful drain, idempotent                   |
 //! | `POST /admin/chaos/kill-shard` | kills a shard worker (sharded `--chaos` only)       |
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use cce_core::persist::Vfs;
-use cce_core::{Alpha, BudgetedKey, ExplainError, ExplainStatus};
+use cce_core::{Alpha, BudgetedKey, ExplainError, ExplainStatus, WorkBudget};
 use cce_dataset::{Instance, Label, Schema};
 
 use crate::admission::{Admission, AdmissionConfig, Level};
@@ -35,12 +37,15 @@ use crate::ingest::{IngestError, IngestState, MonitorBackend};
 use crate::json::{escape, int_array, Json};
 
 /// The daemon's shared state: one backend, one admission machine, the
-/// ingest monitor and the drain flag.
+/// explains in flight, the ingest monitor and the drain flag.
 pub struct App<V: Vfs> {
     backend: Arc<dyn Backend>,
     /// The serving schema: ingests are validated against it.
     schema: Arc<Schema>,
     admission: Admission,
+    /// Explains admitted and not yet answered, on every backend; exported
+    /// as the `cce_serve_queue_depth` gauge.
+    inflight: AtomicUsize,
     ingest: Mutex<IngestState<V>>,
     draining: AtomicBool,
 }
@@ -59,6 +64,7 @@ impl<V: Vfs> App<V> {
             backend,
             schema,
             admission: Admission::new(admission),
+            inflight: AtomicUsize::new(0),
             ingest: Mutex::new(IngestState::new(monitor, width)),
             draining: AtomicBool::new(false),
         }
@@ -139,10 +145,12 @@ impl<V: Vfs> App<V> {
         if self.draining() {
             return draining_response();
         }
-        // Admission sees the backend's load with this request included;
-        // that one observation decides the shed and the budget. A shed
-        // costs the backend nothing.
-        let level = self.admission.observe(self.backend.load() + 1);
+        // Admission sees the explains in flight with this request
+        // included; that one observation decides the shed and the
+        // budget. A shed costs the backend nothing.
+        let level = self
+            .admission
+            .observe(self.inflight.load(Ordering::SeqCst) + 1);
         if level == Level::Shedding {
             cce_obs::counter!("cce_serve_shed_total").inc();
             return Response::json(
@@ -151,11 +159,23 @@ impl<V: Vfs> App<V> {
             )
             .with_header("Retry-After", "1".to_string());
         }
-        match self.backend.explain(target, self.admission.budget_at(level)) {
-            Answer::Done {
+        let budget = self.admission.budget_at(level);
+        if budget != WorkBudget::unlimited() {
+            cce_obs::counter!("cce_serve_degraded_batches_total").inc();
+        }
+        let depth = cce_obs::gauge!("cce_serve_queue_depth");
+        self.inflight.fetch_add(1, Ordering::SeqCst);
+        depth.add(1);
+        // A panicking explain is one 500; the next request is served as
+        // usual (the backend's locks recover from poisoning).
+        let answer = catch_unwind(AssertUnwindSafe(|| self.backend.explain(target, budget)));
+        self.inflight.fetch_sub(1, Ordering::SeqCst);
+        depth.add(-1);
+        match answer {
+            Ok(Answer::Done {
                 result,
                 missing_shards,
-            } => {
+            }) => {
                 let resp = explain_response(target, self.backend.alpha(), &result);
                 if missing_shards.is_empty() {
                     resp
@@ -163,7 +183,7 @@ impl<V: Vfs> App<V> {
                     mark_partial(resp, &missing_shards)
                 }
             }
-            Answer::Unavailable { missing_shards } => Response::json(
+            Ok(Answer::Unavailable { missing_shards }) => Response::json(
                 503,
                 format!(
                     "{{\"status\":\"unavailable\",\"error\":\"target row's shard is down, retry shortly\",\"missing_shards\":{}}}",
@@ -171,8 +191,7 @@ impl<V: Vfs> App<V> {
                 ),
             )
             .with_header("Retry-After", "1".to_string()),
-            Answer::Closed => draining_response(),
-            Answer::Failed => Response::error_json(500, "explanation worker unavailable"),
+            Err(_) => Response::error_json(500, "explanation failed: internal error"),
         }
     }
 
@@ -403,6 +422,85 @@ pub fn explain_response(
                     escape(&e.to_string())
                 ),
             )
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::batcher::{Batcher, BatcherConfig};
+    use cce_core::persist::MemVfs;
+    use cce_core::{BatchEngine, Context, OsrkMonitor};
+    use cce_dataset::{synth, BinSpec};
+
+    /// Panics on target 0 and serves every other target from a real
+    /// in-RAM backend (closed, so it explains on the caller's thread).
+    struct PanicsOnZero(Batcher);
+
+    impl Backend for PanicsOnZero {
+        fn alpha(&self) -> Alpha {
+            self.0.alpha()
+        }
+
+        fn explain(&self, target: usize, budget: WorkBudget) -> Answer {
+            assert_ne!(target, 0, "injected explain panic");
+            self.0.explain(target, budget)
+        }
+
+        fn ingest(&self, x: Instance, pred: Label) -> usize {
+            self.0.ingest(x, pred)
+        }
+
+        fn health(&self) -> String {
+            self.0.health()
+        }
+    }
+
+    fn explain(app: &App<MemVfs>, target: usize) -> Response {
+        app.handle(&Request {
+            method: "POST".to_string(),
+            path: "/explain".to_string(),
+            http11: true,
+            headers: Vec::new(),
+            body: format!("{{\"target\":{target}}}").into_bytes(),
+        })
+    }
+
+    /// A panicking explain is one `500`; the in-flight count it held is
+    /// released (a leaked count would shed the next request at a shed
+    /// depth of 2), and the next request is served.
+    #[test]
+    fn panicking_explain_answers_500_and_the_next_is_served() {
+        let ds = synth::loan::generate(60, 42).encode(&BinSpec::uniform(6));
+        let ctx = Context::from_recorded(&ds);
+        let alpha = Alpha::new(1.0).unwrap();
+        let monitor = OsrkMonitor::new(ctx.instance(0).clone(), ctx.prediction(0), alpha, 7);
+        let schema = ctx.schema_arc();
+        let batcher = Batcher::new(BatchEngine::new(ctx, alpha), BatcherConfig::default(), None);
+        batcher.close();
+        let backend = PanicsOnZero(batcher);
+        let admission = AdmissionConfig {
+            shed_depth: 2,
+            degrade_depth: 2,
+            degrade_budget: 1,
+        };
+        let app: App<MemVfs> = App::new(
+            Arc::new(backend),
+            schema,
+            admission,
+            MonitorBackend::Plain(monitor),
+        );
+        let resp = explain(&app, 0);
+        assert_eq!(resp.status, 500);
+        for target in [1, 2] {
+            let resp = explain(&app, target);
+            assert!(
+                matches!(resp.status, 200 | 409),
+                "target {target}: {} {}",
+                resp.status,
+                String::from_utf8_lossy(&resp.body)
+            );
         }
     }
 }

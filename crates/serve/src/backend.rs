@@ -4,8 +4,9 @@
 //! one it is: the in-RAM [`Batcher`](crate::Batcher) (`--data`), a
 //! read-only converted store (`--store`; ingest feeds only the monitor),
 //! or the [`ShardedBackend`](crate::shard::ShardedBackend) (`--shards`).
-//! DESIGN.md §7 "Backends" tabulates what ingest, load and health mean
-//! for each.
+//! `App` counts the explains in flight for admission and answers `500`
+//! for a panicking one. DESIGN.md §7 "Backends" tabulates what ingest
+//! and health mean for each.
 
 use cce_core::{Alpha, BudgetedKey, ExplainError, WorkBudget};
 use cce_dataset::{Instance, Label};
@@ -30,20 +31,12 @@ pub enum Answer {
         /// The unreachable shards, ascending.
         missing_shards: Vec<usize>,
     },
-    /// The backend was closed for drain and takes no new work.
-    Closed,
-    /// The backend's worker died without answering: a server bug.
-    Failed,
 }
 
 /// One explain path behind the daemon's routes.
 pub trait Backend: Send + Sync {
     /// The conformity bound every answer is computed at.
     fn alpha(&self) -> Alpha;
-
-    /// Work in front of this backend right now; admission observes it
-    /// (plus the arriving request) before every explain.
-    fn load(&self) -> usize;
 
     /// Explains context row `target` under `budget`.
     fn explain(&self, target: usize, budget: WorkBudget) -> Answer;
@@ -61,7 +54,8 @@ pub trait Backend: Send + Sync {
     /// a worker return at once.
     fn run(&self) {}
 
-    /// Stops taking work (drain). Idempotent.
+    /// Stops taking work (drain) and releases what the backend owns (a
+    /// sharded backend stops its supervisor and workers). Idempotent.
     fn close(&self) {}
 
     /// `POST /admin/chaos/kill-shard`: only a sharded backend has a

@@ -8,23 +8,25 @@
 //! workers, exactly like the offline batch path. Each connection thread
 //! blocks on a oneshot-style channel for its own result; batching is
 //! invisible in the response bytes (the coalescing differential test
-//! proves them identical to per-request [`Srk::explain`]).
+//! proves them identical to per-request [`Srk::explain_budgeted`]).
 //!
 //! Every job carries the budget admission granted it; a batch that
-//! straddles a level change runs as one engine pass per budget. The
-//! queue depth is this backend's load. Acknowledged ingests join the
-//! engine as insert deltas, sliding the context in ΔI granules when a
-//! [`LiveWindow`] bounds it.
+//! straddles a level change runs as one engine pass per budget. A batch
+//! whose engine pass panics drops its jobs' channels (each of those
+//! requests answers `500`) and the batcher thread carries on. Once the
+//! queue is closed for drain, an explain runs on the caller's thread.
+//! Acknowledged ingests join the engine as insert deltas, sliding the
+//! context in ΔI granules when a [`LiveWindow`] bounds it.
 //!
-//! [`Srk::explain`]: cce_core::Srk::explain
+//! [`Srk::explain_budgeted`]: cce_core::Srk::explain_budgeted
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
+use std::sync::{Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard};
 use std::time::{Duration, Instant};
 
-use cce_core::{Alpha, BatchEngine, BudgetedKey, ExplainError, WorkBudget};
+use cce_core::{Alpha, BatchEngine, BudgetedKey, ExplainError, LiveWindow, WorkBudget};
 use cce_dataset::{Instance, Label};
 
 use crate::backend::{Answer, Backend};
@@ -53,17 +55,6 @@ impl Default for BatcherConfig {
     }
 }
 
-/// Sliding bound on the live ingest context: once the engine holds more
-/// than `capacity` rows, every `delta` further arrivals evict the
-/// `delta` oldest — each a tombstone delta, never a rebuild.
-#[derive(Debug, Clone, Copy)]
-pub struct LiveWindow {
-    /// Live rows beyond which the context starts sliding.
-    pub capacity: usize,
-    /// ΔI: evictions happen in granules of this many rows.
-    pub delta: usize,
-}
-
 struct Job {
     target: usize,
     budget: WorkBudget,
@@ -75,6 +66,14 @@ struct QueueState {
     open: bool,
 }
 
+/// The engine and the window's staged arrivals, mutated together under
+/// the write lock.
+struct Live {
+    engine: BatchEngine,
+    /// Arrivals past capacity awaiting the next ΔI slide.
+    staged: usize,
+}
+
 /// The coalescing queue, its drain loop, and the live context's window.
 ///
 /// The engine sits behind an `RwLock` so the ingest path can apply
@@ -82,14 +81,11 @@ struct QueueState {
 /// the read lock, arrivals/evictions take the write lock briefly (the
 /// patch is microseconds — no index rebuild happens on either side).
 pub struct Batcher {
-    engine: Arc<RwLock<BatchEngine>>,
+    live: RwLock<Live>,
     alpha: Alpha,
     cfg: BatcherConfig,
     /// Optional ΔI bound on the live context (`None` → it only grows).
     window: Option<LiveWindow>,
-    /// Arrivals past capacity awaiting the next ΔI slide; mutated only
-    /// under the engine write lock.
-    staged: AtomicUsize,
     state: Mutex<QueueState>,
     cv: Condvar,
 }
@@ -97,18 +93,12 @@ pub struct Batcher {
 impl Batcher {
     /// A new open queue over `engine`; `window`, when set, bounds the
     /// live ingest context by ΔI slides.
-    pub fn new(
-        engine: Arc<RwLock<BatchEngine>>,
-        cfg: BatcherConfig,
-        window: Option<LiveWindow>,
-    ) -> Self {
-        let alpha = engine.read().unwrap_or_else(|e| e.into_inner()).alpha();
+    pub fn new(engine: BatchEngine, cfg: BatcherConfig, window: Option<LiveWindow>) -> Self {
         Self {
-            engine,
-            alpha,
+            alpha: engine.alpha(),
+            live: RwLock::new(Live { engine, staged: 0 }),
             cfg,
             window,
-            staged: AtomicUsize::new(0),
             state: Mutex::new(QueueState {
                 queue: VecDeque::new(),
                 open: true,
@@ -117,9 +107,8 @@ impl Batcher {
         }
     }
 
-    /// The shared engine (health reporting and the live ingest deltas).
-    pub fn engine(&self) -> &Arc<RwLock<BatchEngine>> {
-        &self.engine
+    fn read(&self) -> RwLockReadGuard<'_, Live> {
+        self.live.read().unwrap_or_else(|e| e.into_inner())
     }
 
     fn lock(&self) -> MutexGuard<'_, QueueState> {
@@ -156,9 +145,7 @@ impl Batcher {
             }
         }
         let take = st.queue.len().min(self.cfg.max_batch);
-        let batch: Vec<Job> = st.queue.drain(..take).collect();
-        cce_obs::gauge!("cce_serve_queue_depth").set(st.queue.len() as i64);
-        Some(batch)
+        Some(st.queue.drain(..take).collect())
     }
 }
 
@@ -167,35 +154,36 @@ impl Backend for Batcher {
         self.alpha
     }
 
-    fn load(&self) -> usize {
-        self.lock().queue.len()
-    }
-
     fn explain(&self, target: usize, budget: WorkBudget) -> Answer {
         let (tx, rx) = mpsc::channel();
         {
             let mut st = self.lock();
-            if !st.open {
-                return Answer::Closed;
+            if st.open {
+                st.queue.push_back(Job { target, budget, tx });
+            } else {
+                // Drained: no batcher thread will take the job.
+                drop(st);
+                return Answer::Done {
+                    result: self.read().engine.explain_one(target, budget),
+                    missing_shards: Vec::new(),
+                };
             }
-            st.queue.push_back(Job { target, budget, tx });
-            cce_obs::gauge!("cce_serve_queue_depth").set(st.queue.len() as i64);
         }
         self.cv.notify_all();
-        match rx.recv() {
-            Ok(result) => Answer::Done {
-                result,
-                missing_shards: Vec::new(),
-            },
-            // The batcher thread died without answering.
-            Err(_) => Answer::Failed,
+        // A dropped channel means the job's engine pass panicked; the
+        // panic propagates to `App::explain`, which answers 500.
+        let result = rx.recv().expect("explanation batch panicked");
+        Answer::Done {
+            result,
+            missing_shards: Vec::new(),
         }
     }
 
     /// Joins the arrival to the live context as an insert delta, plus
     /// any due ΔI slide; returns the live row count.
     fn ingest(&self, x: Instance, pred: Label) -> usize {
-        let mut engine = self.engine.write().unwrap_or_else(|e| e.into_inner());
+        let mut live = self.live.write().unwrap_or_else(|e| e.into_inner());
+        let Live { engine, staged } = &mut *live;
         if engine.push(x, pred).is_err() {
             // Unreachable when monitor and context share a schema, but a
             // mismatched arrival must not poison the serving context.
@@ -203,26 +191,21 @@ impl Backend for Batcher {
             return engine.len();
         }
         if let Some(w) = self.window {
-            if engine.len() > w.capacity {
-                let staged = self.staged.fetch_add(1, Ordering::SeqCst) + 1;
-                if staged >= w.delta {
-                    engine.evict_oldest(staged);
-                    self.staged.store(0, Ordering::SeqCst);
-                    cce_obs::counter!("cce_serve_window_slides_total").inc();
-                }
+            if w.slide(engine, staged) > 0 {
+                cce_obs::counter!("cce_serve_window_slides_total").inc();
             }
         }
         engine.len()
     }
 
     fn health(&self) -> String {
-        let engine = self.engine.read().unwrap_or_else(|e| e.into_inner());
+        let live = self.read();
         format!(
             "\"rows\":{},\"version\":{},\"tombstones\":{},\"queue_depth\":{}",
-            engine.len(),
-            engine.version(),
-            engine.tombstones(),
-            self.load(),
+            live.engine.len(),
+            live.engine.version(),
+            live.engine.tombstones(),
+            self.lock().queue.len(),
         )
     }
 
@@ -234,18 +217,17 @@ impl Backend for Batcher {
             cce_obs::histogram!("cce_serve_batch_size").record(batch.len() as u64);
             for group in batch.chunk_by(|a, b| a.budget == b.budget) {
                 let budget = group[0].budget;
-                if budget != WorkBudget::unlimited() {
-                    cce_obs::counter!("cce_serve_degraded_batches_total").inc();
-                }
                 let targets: Vec<usize> = group.iter().map(|j| j.target).collect();
                 let t0 = Instant::now();
-                let results = self
-                    .engine
-                    .read()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .explain_batch(&targets, budget, self.cfg.threads);
+                let results = catch_unwind(AssertUnwindSafe(|| {
+                    self.read()
+                        .engine
+                        .explain_batch(&targets, budget, self.cfg.threads)
+                }));
                 cce_obs::histogram!("cce_serve_batch_explain_ns")
                     .record(t0.elapsed().as_nanos() as u64);
+                // On a panic the group's senders drop with the batch.
+                let Ok(results) = results else { continue };
                 for (job, result) in group.iter().zip(results) {
                     // A receiver may have given up (client gone); that is fine.
                     let _ = job.tx.send(result);
@@ -254,8 +236,8 @@ impl Backend for Batcher {
         }
     }
 
-    /// Closes the queue: new explains get [`Answer::Closed`]; the run
-    /// loop drains what is already queued, then returns.
+    /// Closes the queue: the run loop drains what is already queued,
+    /// then returns; later explains run on the caller's thread.
     fn close(&self) {
         self.lock().open = false;
         self.cv.notify_all();

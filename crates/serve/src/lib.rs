@@ -12,9 +12,9 @@
 //!   memoization *across requests* ([`batcher`]); a converted store
 //!   answers out-of-core ([`store`]); shard workers answer by
 //!   scatter/gather ([`shard`]);
-//! * overload triggers **budgeted admission control** over the
-//!   backend's load — degraded partial keys via [`WorkBudget`]s, then
-//!   `429` shedding — with an explicit hysteresis state machine
+//! * overload triggers **budgeted admission control** over the explains
+//!   in flight — degraded partial keys via [`WorkBudget`]s, then `429`
+//!   shedding — with an explicit hysteresis state machine
 //!   ([`admission`]);
 //! * `POST /monitor/ingest` runs the online monitor behind the
 //!   [`Durable`] WAL wrapper, so an HTTP `200` *is* a durability
@@ -22,8 +22,8 @@
 //!   `context_rows` counts the context `/explain` answers from (a store
 //!   is read-only: its ingest feeds only the monitor);
 //! * `GET /metrics` exposes the whole `cce-obs` registry in Prometheus
-//!   text format, including per-endpoint latency histograms and
-//!   queue-depth gauges;
+//!   text format, including per-endpoint latency histograms and the
+//!   in-flight explain gauge (`cce_serve_queue_depth`);
 //! * `POST /admin/shutdown` runs the graceful drain protocol
 //!   ([`server`] module docs).
 //!
@@ -47,12 +47,13 @@ pub mod store;
 pub use admission::{Admission, AdmissionConfig, Level};
 pub use app::{explain_response, App};
 pub use backend::{Answer, Backend};
-pub use batcher::{Batcher, BatcherConfig, LiveWindow};
+pub use batcher::{Batcher, BatcherConfig};
+pub use cce_core::LiveWindow;
 pub use ingest::{IngestAck, IngestError, IngestState, MonitorBackend};
 pub use server::{Server, ServerConfig};
 pub use store::PagedBackend;
 
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 
 use cce_core::engine::EngineConfig;
 use cce_core::persist::Vfs;
@@ -95,9 +96,7 @@ pub fn build_app_with<V: Vfs>(
     window: Option<LiveWindow>,
 ) -> Arc<App<V>> {
     let schema = ctx.schema_arc();
-    let engine = Arc::new(RwLock::new(BatchEngine::with_config(
-        ctx, alpha, engine_cfg,
-    )));
+    let engine = BatchEngine::with_config(ctx, alpha, engine_cfg);
     let batcher = Arc::new(Batcher::new(engine, batcher_cfg, window));
     Arc::new(App::new(batcher, schema, admission_cfg, backend))
 }

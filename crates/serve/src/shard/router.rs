@@ -29,7 +29,7 @@
 //! that surfaces as [`ShardedAnswer::Unavailable`] (a `503`, never a
 //! `500`).
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use cce_core::greedy::{self, CandidateHeap, CountSource};
@@ -94,8 +94,7 @@ impl IngestLog {
     }
 }
 
-/// What a sharded explain produced: the daemon's [`Answer`] (a sharded
-/// explain never answers [`Answer::Closed`]).
+/// What a sharded explain produced: the daemon's [`Answer`].
 pub use crate::backend::Answer as ShardedAnswer;
 
 /// One round's gathered sums.
@@ -117,7 +116,6 @@ pub struct ShardedBackend {
     total_rows: AtomicU64,
     log: Arc<IngestLog>,
     supervisor: Mutex<Option<SupervisorHandle>>,
-    inflight: AtomicUsize,
     chaos: bool,
 }
 
@@ -141,7 +139,6 @@ impl ShardedBackend {
             total_rows: AtomicU64::new(base_rows),
             log,
             supervisor: Mutex::new(None),
-            inflight: AtomicUsize::new(0),
             chaos,
         }
     }
@@ -211,9 +208,7 @@ impl ShardedBackend {
     /// or failing mid-request, the greedy restarts over the surviving
     /// partitions and the answer is labeled with the missing shards.
     pub fn explain(&self, target: u64, budget: WorkBudget) -> ShardedAnswer {
-        self.inflight.fetch_add(1, Ordering::SeqCst);
         let answer = self.explain_inner(target, budget);
-        self.inflight.fetch_sub(1, Ordering::SeqCst);
         if let ShardedAnswer::Done { missing_shards, .. } = &answer {
             if !missing_shards.is_empty() {
                 cce_obs::counter!("cce_shard_partial_answers_total").inc();
@@ -302,11 +297,6 @@ impl ShardedBackend {
 impl Backend for ShardedBackend {
     fn alpha(&self) -> Alpha {
         self.alpha
-    }
-
-    /// Scatter concurrency: requests inside [`ShardedBackend::explain`].
-    fn load(&self) -> usize {
-        self.inflight.load(Ordering::SeqCst)
     }
 
     fn explain(&self, target: usize, budget: WorkBudget) -> Answer {

@@ -14,7 +14,6 @@
 //! rate, eviction count) so operators can watch the cache breathe; the
 //! same counters are exported process-wide as `cce_pagestore_*`.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 use cce_core::persist::Vfs;
@@ -59,18 +58,12 @@ pub(crate) struct StoreBackend<V: Vfs> {
     /// The store's row count, read once: the context never changes, so
     /// ingest and health need not wait on the store lock for it.
     rows: usize,
-    inflight: AtomicUsize,
 }
 
 impl<V: Vfs> StoreBackend<V> {
     pub(crate) fn new(paged: PagedBackend<V>, alpha: Alpha) -> Self {
         let rows = paged.lock().len();
-        Self {
-            paged,
-            alpha,
-            rows,
-            inflight: AtomicUsize::new(0),
-        }
+        Self { paged, alpha, rows }
     }
 }
 
@@ -79,17 +72,11 @@ impl<V: Vfs + Send + 'static> Backend for StoreBackend<V> {
         self.alpha
     }
 
-    fn load(&self) -> usize {
-        self.inflight.load(Ordering::SeqCst)
-    }
-
     fn explain(&self, target: usize, budget: WorkBudget) -> Answer {
-        self.inflight.fetch_add(1, Ordering::SeqCst);
         let result = self
             .paged
             .lock()
             .explain_row_budgeted(target, self.alpha, budget);
-        self.inflight.fetch_sub(1, Ordering::SeqCst);
         Answer::Done {
             result,
             missing_shards: Vec::new(),
