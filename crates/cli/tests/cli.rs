@@ -694,3 +694,116 @@ fn explain_store_rejects_a_truncated_store() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("opening"), "stderr: {stderr}");
 }
+
+/// A daemon out of file descriptors must not spin on `accept`: the
+/// pending connection stays in the backlog, so every retry fails at
+/// once. The child's descriptor limit is lowered in its own shell only.
+#[cfg(target_os = "linux")]
+#[test]
+fn serve_backs_off_when_accept_runs_out_of_descriptors() {
+    use std::time::{Duration, Instant};
+
+    /// Kills the daemon if an assertion fails first.
+    struct Daemon(std::process::Child);
+    impl Drop for Daemon {
+        fn drop(&mut self) {
+            let _ = self.0.kill();
+            let _ = self.0.wait();
+        }
+    }
+
+    let path = export_loan();
+    let spawn = |limit: usize| {
+        let mut child = Command::new("sh")
+            .args([
+                "-c",
+                &format!(
+                    "ulimit -n {limit}; exec \"$0\" serve --data \"$1\" \
+                     --addr 127.0.0.1:0 --keepalive-ms 30000"
+                ),
+                env!("CARGO_BIN_EXE_cce"),
+                path.to_str().unwrap(),
+            ])
+            .stdout(std::process::Stdio::piped())
+            .spawn()
+            .expect("spawn cce serve under ulimit");
+        let mut stdout = std::io::BufReader::new(child.stdout.take().unwrap());
+        let (addr, _) = wait_for_listening(&mut stdout);
+        (Daemon(child), stdout, addr, limit)
+    };
+    let open_fds = |pid: u32| {
+        std::fs::read_dir(format!("/proc/{pid}/fd"))
+            .expect("list child descriptors")
+            .count()
+    };
+    // utime + stime, in clock ticks (USER_HZ, 100 per second on Linux).
+    let cpu_ticks = |pid: u32| -> u64 {
+        let stat = std::fs::read_to_string(format!("/proc/{pid}/stat")).expect("read stat");
+        let fields: Vec<&str> = stat.rsplit_once(") ").unwrap().1.split(' ').collect();
+        fields[11].parse::<u64>().unwrap() + fields[12].parse::<u64>().unwrap()
+    };
+    let wait_for = |done: &dyn Fn() -> bool, within: Duration| {
+        let deadline = Instant::now() + within;
+        while !done() {
+            if Instant::now() > deadline {
+                return false;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        true
+    };
+
+    // An accepted connection holds two descriptors (the stream and its
+    // read clone): the table fills completely only when the number left
+    // free at startup is even.
+    let (mut daemon, _stdout, addr, limit) = {
+        let first = spawn(32);
+        if (32 - open_fds(first.0 .0.id())) % 2 == 0 {
+            first
+        } else {
+            drop(first);
+            spawn(33)
+        }
+    };
+    let pid = daemon.0.id();
+    let base = open_fds(pid);
+
+    // A burst of more idle connections than descriptors: the accept loop
+    // takes them faster than their threads clone them, so the table
+    // fills and the rest wait in the listen backlog. A burst whose
+    // clones lose the race to the accept loop is closed and retried.
+    let mut clients = Vec::new();
+    for attempt in 0.. {
+        assert!(attempt < 10, "descriptor table never filled");
+        clients = (0..limit)
+            .map(|_| std::net::TcpStream::connect(&addr).expect("connect"))
+            .collect();
+        if wait_for(&|| open_fds(pid) == limit, Duration::from_secs(1)) {
+            break;
+        }
+        clients.clear();
+        assert!(wait_for(&|| open_fds(pid) == base, Duration::from_secs(5)));
+    }
+    let before = cpu_ticks(pid);
+    std::thread::sleep(Duration::from_secs(1));
+    let spent = cpu_ticks(pid) - before;
+    assert!(
+        spent < 20,
+        "accept loop burned {spent} ticks of CPU in 1 s with descriptors exhausted"
+    );
+
+    // Once the connections close, the daemon serves again.
+    drop(clients);
+    let (status, _) = http_roundtrip(&addr, "GET", "/healthz", "");
+    assert_eq!(status, 200);
+    let (_, metrics) = http_roundtrip(&addr, "GET", "/metrics", "");
+    let errors: u64 = metrics
+        .lines()
+        .find_map(|l| l.strip_prefix("cce_serve_accept_errors_total "))
+        .and_then(|v| v.trim().parse().ok())
+        .expect("accept error counter exported");
+    assert!(errors > 0);
+    let (status, _) = http_roundtrip(&addr, "POST", "/admin/shutdown", "");
+    assert_eq!(status, 200);
+    assert!(daemon.0.wait().expect("serve exits").success());
+}

@@ -11,11 +11,11 @@
 //! * **ΔI deltas instead of rebuilds** — [`BatchEngine::push`] and
 //!   [`BatchEngine::evict_oldest`] patch the [`ContextIndex`] in place
 //!   ([`ContextIndex::insert_row`] / [`ContextIndex::remove_row`]):
-//!   generational slot tombstones, seed-table cell deltas, and an
-//!   incremental twin-hash certificate, costing microseconds where a
-//!   rebuild costs `O(n·|I|)` bitset passes. Once tombstone density
-//!   crosses [`EngineConfig::max_tombstone_ratio`] the engine *compacts*:
-//!   one dense rebuild over the live rows reclaims the dead bitset width.
+//!   free-slot reuse, seed-table cell deltas, and an incremental
+//!   twin-hash certificate, costing microseconds where a rebuild costs
+//!   `O(n·|I|)` bitset passes. An evicted row's slot is taken by the next
+//!   arrival, so a sliding window's slot universe stays at its peak live
+//!   count and the engine never rebuilds.
 //! * **Duplicate-target memoization, within and across batches** —
 //!   targets with identical `(instance, prediction)` rows provably
 //!   receive identical keys, so each equivalence class in a batch is
@@ -24,8 +24,7 @@
 //!   *across* batches keyed by `(instance, prediction, budget)`
 //!   (`cce_engine_memo_hits_total`). The **memo-invalidation rule**: any
 //!   delta bumps [`BatchEngine::version`] and clears the memo — every
-//!   cached key is provably valid for exactly one context version —
-//!   and compaction clears it too.
+//!   cached key is provably valid for exactly one context version.
 //! * **Budgeted degradation** — a non-unlimited [`WorkBudget`] routes
 //!   through the budget-accounted indexed path, byte-identical to
 //!   [`Srk::explain_budgeted`] including its degradation points, so an
@@ -55,25 +54,10 @@ use crate::fanout::fan_out;
 use crate::index::{ContextIndex, ExplainScratch};
 use crate::srk::{BudgetedKey, WorkBudget};
 
-/// Tunables for a [`BatchEngine`], beyond the context and α.
-#[derive(Debug, Clone)]
-pub struct EngineConfig {
-    /// Tombstone density (`tombstones / slot_rows`) beyond which the
-    /// engine compacts the index after an eviction.
-    pub max_tombstone_ratio: f64,
-    /// Never compact below this many slots — at toy sizes a rebuild is
-    /// cheaper than the bookkeeping, and the ratio is noisy.
-    pub compact_min_slots: usize,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        Self {
-            max_tombstone_ratio: 0.5,
-            compact_min_slots: 1024,
-        }
-    }
-}
+/// Engine tunables: none. The type remains because the `perfbench`
+/// harness names it.
+#[derive(Debug, Clone, Default)]
+pub struct EngineConfig {}
 
 /// Shared explanation state amortized across micro-batches and kept
 /// alive across context churn (see the module docs).
@@ -81,11 +65,9 @@ impl Default for EngineConfig {
 pub struct BatchEngine {
     schema: Arc<Schema>,
     alpha: Alpha,
-    max_tombstone_ratio: f64,
-    compact_min_slots: usize,
     idx: ContextIndex,
-    /// Slot-addressed row storage; tombstoned slots keep their (stale)
-    /// data until compaction reclaims them.
+    /// Slot-addressed row storage; a free slot keeps its stale row until
+    /// the next arrival overwrites it.
     rows: Vec<(Instance, Label)>,
     /// Live slots in arrival order — the logical-index → slot map.
     order: VecDeque<u32>,
@@ -107,8 +89,6 @@ impl Clone for BatchEngine {
         Self {
             schema: Arc::clone(&self.schema),
             alpha: self.alpha,
-            max_tombstone_ratio: self.max_tombstone_ratio,
-            compact_min_slots: self.compact_min_slots,
             idx: self.idx.clone(),
             rows: self.rows.clone(),
             order: self.order.clone(),
@@ -123,12 +103,6 @@ impl BatchEngine {
     /// duplicate-class partition, reused for every later batch and
     /// patched in place by every later delta.
     pub fn new(ctx: Context, alpha: Alpha) -> Self {
-        Self::with_config(ctx, alpha, EngineConfig::default())
-    }
-
-    /// [`BatchEngine::new`] with explicit [`EngineConfig`] — the serve
-    /// daemon's constructor.
-    pub fn with_config(ctx: Context, alpha: Alpha, cfg: EngineConfig) -> Self {
         let idx = ContextIndex::new(&ctx);
         let schema = ctx.schema_arc();
         let n = ctx.len();
@@ -139,14 +113,18 @@ impl BatchEngine {
         Self {
             schema,
             alpha,
-            max_tombstone_ratio: cfg.max_tombstone_ratio,
-            compact_min_slots: cfg.compact_min_slots,
             idx,
             rows,
             order: (0..n as u32).collect(),
             version: 0,
             memo: Mutex::new(HashMap::new()),
         }
+    }
+
+    /// [`BatchEngine::new`]; kept only because the `perfbench` harness
+    /// calls it.
+    pub fn with_config(ctx: Context, alpha: Alpha, _cfg: EngineConfig) -> Self {
+        Self::new(ctx, alpha)
     }
 
     /// The schema every row conforms to.
@@ -175,7 +153,8 @@ impl BatchEngine {
         self.version
     }
 
-    /// Tombstoned slots awaiting compaction.
+    /// Free slots awaiting reuse by the next arrivals; at most ΔI under a
+    /// full [`LiveWindow`](crate::LiveWindow).
     pub fn tombstones(&self) -> usize {
         self.idx.tombstones()
     }
@@ -188,9 +167,8 @@ impl BatchEngine {
         })
     }
 
-    /// Materializes the live context in arrival order — compaction-
-    /// and tombstone-free, the reference the differential tests rebuild
-    /// from.
+    /// Materializes the live context in arrival order — free of slot
+    /// holes, the reference the differential tests rebuild from.
     pub fn materialize(&self) -> Context {
         let mut xs = Vec::with_capacity(self.order.len());
         let mut ps = Vec::with_capacity(self.order.len());
@@ -206,8 +184,9 @@ impl BatchEngine {
         self.memo.lock().unwrap_or_else(|e| e.into_inner()).clear();
     }
 
-    /// Applies one arrival delta: patches the index in place and appends
-    /// the row at the top of the logical order. Returns the row's
+    /// Applies one arrival delta: patches the index in place, stores the
+    /// row in the slot the index chose (a freed one when there is one),
+    /// and appends it at the top of the logical order. Returns the row's
     /// logical index (== `len() - 1`).
     ///
     /// # Errors
@@ -215,16 +194,21 @@ impl BatchEngine {
     /// engine is left untouched).
     pub fn push(&mut self, x: Instance, pred: Label) -> Result<usize, ExplainError> {
         let slot = self.idx.insert_row(&x, pred)?;
-        debug_assert_eq!(slot, self.rows.len());
-        self.rows.push((x, pred));
+        match self.rows.get_mut(slot) {
+            Some(row) => *row = (x, pred),
+            None => {
+                debug_assert_eq!(slot, self.rows.len());
+                self.rows.push((x, pred));
+            }
+        }
         self.order.push_back(slot as u32);
         self.bump_version();
         Ok(self.order.len() - 1)
     }
 
     /// Applies eviction deltas for the `k` oldest live rows (fewer if
-    /// the context is smaller), then compacts if tombstone density
-    /// crossed the threshold. Returns rows evicted.
+    /// the context is smaller), freeing their slots for later arrivals.
+    /// Returns rows evicted.
     pub fn evict_oldest(&mut self, k: usize) -> usize {
         let k = k.min(self.order.len());
         for _ in 0..k {
@@ -233,57 +217,9 @@ impl BatchEngine {
             self.idx.remove_row(slot, x, *p);
         }
         if k > 0 {
-            self.reclaim_tail();
             self.bump_version();
-            self.maybe_compact();
         }
         k
-    }
-
-    /// Shrinks slot storage in lockstep with the index's trailing-
-    /// tombstone reclamation (popped slots are dead, so their stale row
-    /// data can go too).
-    fn reclaim_tail(&mut self) {
-        if self.idx.truncate_dead_tail() > 0 {
-            self.rows.truncate(self.idx.slot_rows());
-        }
-    }
-
-    /// Tombstone density over the slot universe (0 when empty).
-    pub fn tombstone_ratio(&self) -> f64 {
-        if self.idx.slot_rows() == 0 {
-            0.0
-        } else {
-            self.idx.tombstones() as f64 / self.idx.slot_rows() as f64
-        }
-    }
-
-    fn maybe_compact(&mut self) {
-        if self.idx.slot_rows() >= self.compact_min_slots
-            && self.tombstone_ratio() > self.max_tombstone_ratio
-        {
-            self.compact();
-        }
-    }
-
-    /// Compacts: rebuilds the index dense over the live rows and
-    /// renumbers slots to `0..len()`. Logical indices, explain results,
-    /// and the materialized context are unchanged; the memo is cleared
-    /// with the version bump.
-    pub fn compact(&mut self) {
-        let ctx = self.materialize();
-        cce_obs::counter!("cce_engine_compactions_total").inc();
-        *self = Self::with_config(
-            ctx,
-            self.alpha,
-            EngineConfig {
-                max_tombstone_ratio: self.max_tombstone_ratio,
-                compact_min_slots: self.compact_min_slots,
-            },
-        );
-        // Compaction is a physical reorganization, but it is still a new
-        // context version: caches keyed by version must not survive it.
-        self.version += 1;
     }
 
     /// Explains one logical target through the shared index and the
@@ -349,11 +285,12 @@ impl BatchEngine {
     }
 
     /// Explains `(x, pred)` as a *transient member* of the context: the
-    /// pair joins via an insert delta, is explained in place, and its
-    /// slot is removed and reclaimed — the sliding window's
-    /// explain-a-visitor path, byte-identical to materializing the
-    /// context, appending the target, and running [`Srk::explain`].
-    /// State (and [`BatchEngine::version`]) is unchanged on return.
+    /// pair joins via an insert delta, is explained in place, and is
+    /// removed again — the sliding window's explain-a-visitor path,
+    /// byte-identical to materializing the context, appending the
+    /// target, and running [`Srk::explain`]. The live rows and
+    /// [`BatchEngine::version`] are unchanged on return; the probe reuses
+    /// a free slot, or leaves one appended free slot for the next push.
     ///
     /// # Errors
     /// Same failure modes as [`Srk::explain`] over the joined context.
@@ -373,7 +310,6 @@ impl BatchEngine {
             &mut ExplainScratch::new(),
         );
         self.idx.remove_row(slot, x, pred);
-        self.reclaim_tail();
         result
     }
 
@@ -577,7 +513,10 @@ mod tests {
             }
         }
         assert!(engine.version() > v0);
-        assert!(engine.tombstones() > 0, "interior tombstones expected");
+        assert!(
+            engine.len() + engine.tombstones() < 120 + 90,
+            "evicted slots are reused"
+        );
         let fresh = BatchEngine::new(engine.materialize(), Alpha::ONE);
         assert_eq!(engine.len(), fresh.len());
         let targets: Vec<usize> = (0..engine.len()).collect();
@@ -587,35 +526,6 @@ mod tests {
                 fresh.explain_batch(&targets, budget, 2),
             );
         }
-    }
-
-    #[test]
-    fn forced_compaction_preserves_results() {
-        let cfg = EngineConfig {
-            compact_min_slots: 1,
-            max_tombstone_ratio: 0.1,
-        };
-        let mut engine = BatchEngine::with_config(loan_ctx(200), Alpha::ONE, cfg);
-        let before_all: Vec<_> = engine.explain_batch(
-            &(0..engine.len()).collect::<Vec<_>>(),
-            WorkBudget::unlimited(),
-            2,
-        );
-        // Evicting 40 rows crosses the 10% ratio repeatedly → compactions.
-        engine.evict_oldest(40);
-        assert_eq!(engine.tombstones(), 0, "compaction reclaimed tombstones");
-        let after: Vec<_> = engine.explain_batch(
-            &(0..engine.len()).collect::<Vec<_>>(),
-            WorkBudget::unlimited(),
-            2,
-        );
-        // Logical index i after eviction corresponds to old index i + 40.
-        for (i, got) in after.iter().enumerate() {
-            let fresh = BatchEngine::new(engine.materialize(), Alpha::ONE)
-                .explain_one(i, WorkBudget::unlimited());
-            assert_eq!(got, &fresh, "target {i}");
-        }
-        assert_eq!(before_all.len(), 200);
     }
 
     #[test]
@@ -633,7 +543,10 @@ mod tests {
             assert_eq!(got, want, "target {r}");
         }
         assert_eq!(engine.version(), v, "adhoc must not invalidate the memo");
-        assert_eq!(engine.tombstones(), 0, "adhoc must reclaim its slot");
+        assert!(
+            engine.tombstones() <= 1,
+            "adhoc leaves at most one free slot"
+        );
     }
 
     #[test]

@@ -23,9 +23,9 @@
 //!
 //! Every `RowSet` keeps its padding bits — bit positions at or above
 //! `rows` in the last word — **clear at all times**. Constructors start
-//! zeroed, `set` refuses out-of-range rows, intersections only clear
-//! bits, and `pop` re-masks the shortened tail; every kernel entry
-//! checks the invariant with
+//! zeroed, `set` refuses out-of-range rows, `grow` adds clear bits, and
+//! intersections only clear bits; every kernel entry checks the
+//! invariant with
 //! [`RowSet::debug_assert_tail_clear`]. This is what lets the fused
 //! kernels skip per-call tail masking entirely (`b ∩ ¬a` is clean
 //! because `b` is), at every `rows % 64` shape and SIMD lane width.
@@ -68,7 +68,7 @@ impl RowSet {
         self.words[row / 64] |= 1 << (row % 64);
     }
 
-    /// Clears one bit (tombstoning a slot keeps the tail invariant: only
+    /// Clears one bit (freeing a slot keeps the tail invariant: only
     /// bits *below* `rows` are touched).
     fn clear(&mut self, row: usize) {
         debug_assert!(row < self.rows, "clear({row}) beyond rows={}", self.rows);
@@ -88,17 +88,6 @@ impl RowSet {
         if self.words.len() < self.rows.div_ceil(64) {
             self.words.push(0);
         }
-    }
-
-    /// Shrinks the universe by one slot. The caller guarantees the
-    /// popped slot's bit is already clear (it was tombstoned), so the
-    /// tail invariant holds without re-masking; the debug assert below
-    /// would catch a violation at the next kernel entry anyway.
-    fn pop(&mut self) {
-        debug_assert!(self.rows > 0);
-        self.rows -= 1;
-        self.words.truncate(self.rows.div_ceil(64));
-        self.mask_tail();
     }
 
     /// Checks the tail-bit invariant (debug builds only): every bit at
@@ -198,16 +187,6 @@ impl RowSet {
     /// columns inherit the tail-bit invariant for free).
     pub(crate) fn word_slice(&self) -> &[u64] {
         &self.words
-    }
-
-    /// Clears the padding bits beyond `rows` so counts stay exact.
-    fn mask_tail(&mut self) {
-        let tail = self.rows % 64;
-        if tail != 0 {
-            if let Some(last) = self.words.last_mut() {
-                *last &= (1u64 << tail) - 1;
-            }
-        }
     }
 }
 
@@ -335,14 +314,14 @@ impl CountSource for IndexCounts<'_> {
 /// churn through [`ContextIndex::insert_row`] / [`ContextIndex::remove_row`]
 /// deltas instead of a rebuild:
 ///
-/// * **Generational slots.** Every inserted row gets a fresh slot at the
-///   top of the bitset universe (`slots`); a removed row becomes a
-///   *tombstone* — its bit is eagerly cleared from every posting, its
-///   class set, and the live mask, and the slot is never reused. Because
-///   clears are eager, the hot lazy-greedy path needs **no masking**:
-///   every posting intersection already excludes dead slots, at the cost
-///   of padding words that an owner reclaims by compacting (rebuilding
-///   dense) once `tombstones()` crosses its density threshold.
+/// * **Reused slots.** A removed row's bit is eagerly cleared from every
+///   posting and its class set, and its slot goes onto a free list; the
+///   next insert takes a free slot and appends to the bitset universe
+///   (`slots`) only when the list is empty. Because clears are eager,
+///   the hot lazy-greedy path needs **no masking**: every posting
+///   intersection already excludes free slots. Under a sliding window
+///   the universe therefore stays at the peak live count, and no owner
+///   ever rebuilds to reclaim width.
 /// * **Seed-table deltas.** A row with values `x` only participates in
 ///   the `(f, x[f])` cells: an insert bumps `cover0` in its own class
 ///   and `surv0` in every other class for exactly those cells — `O(|I|·C)`
@@ -355,21 +334,18 @@ impl CountSource for IndexCounts<'_> {
 ///   hash lookup at explain time.
 ///
 /// Under this maintenance the index over `k` live rows is
-/// *count-equivalent* to a fresh build of the compacted live context —
+/// *count-equivalent* to a fresh build of the live context —
 /// every popcount any explain path computes is identical — so patched
 /// explains are byte-identical to rebuild explains (the churn
 /// differential suite proves it).
 #[derive(Debug, Clone)]
 pub struct ContextIndex {
-    /// Slot-universe size: live rows **plus** tombstones. Every `RowSet`
+    /// Slot-universe size: live rows **plus** free slots. Every `RowSet`
     /// in the index is `slots` wide.
     slots: usize,
-    /// Tombstoned slots (`slots - dead` rows are live).
-    dead: usize,
-    /// Live mask: slot → not tombstoned. The lazy path never consults it
-    /// (postings are eagerly cleared); it guards slot-state transitions
-    /// and tail reclamation.
-    live: RowSet,
+    /// Free slots, reused last-in first-out by [`ContextIndex::insert_row`]
+    /// (`slots - free.len()` rows are live).
+    free: Vec<usize>,
     /// `by_value[f][v]` — live slots where feature `f` takes value `v`.
     by_value: Vec<Vec<RowSet>>,
     /// Distinct predictions with their row sets and seed-score tables.
@@ -452,14 +428,9 @@ impl ContextIndex {
         for r in 0..rows {
             add_twin(&mut twins, ctx.instance(r), ctx.prediction(r));
         }
-        let mut live = RowSet::zeros(rows);
-        for r in 0..rows {
-            live.set(r);
-        }
         Self {
             slots: rows,
-            dead: 0,
-            live,
+            free: Vec::new(),
             by_value,
             classes,
             twins,
@@ -505,9 +476,9 @@ impl ContextIndex {
         &self.classes
     }
 
-    /// Live rows indexed (tombstones excluded).
+    /// Live rows indexed (free slots excluded).
     pub fn len(&self) -> usize {
-        self.slots - self.dead
+        self.slots - self.free.len()
     }
 
     /// True when the index covers no live rows.
@@ -515,17 +486,9 @@ impl ContextIndex {
         self.len() == 0
     }
 
-    /// Tombstoned slots still occupying bitset width — the compaction
-    /// trigger an owner watches.
+    /// Free slots awaiting reuse by the next inserts.
     pub fn tombstones(&self) -> usize {
-        self.dead
-    }
-
-    /// Slot-universe size: live rows plus tombstones. This is the width
-    /// every bitset pass actually runs over, so `tombstones() / slot_rows()`
-    /// is the fraction of dead work per pass.
-    pub fn slot_rows(&self) -> usize {
-        self.slots
+        self.free.len()
     }
 
     /// SRK over the index: identical output to [`Srk::explain`], much
@@ -590,14 +553,14 @@ impl ContextIndex {
 
     /// Validates a context-addressed explain: the row-index entry points
     /// predate churn and address rows positionally, which is only
-    /// meaningful on a compact (tombstone-free) index whose slots are
-    /// exactly the context's rows. Churn owners address by value through
+    /// meaningful on an index with no free slots, whose slots are exactly
+    /// the context's rows. Churn owners address by value through
     /// [`ContextIndex::explain_value`] instead.
     fn check_frozen(&self, ctx: &Context, target: usize) -> Result<(), ExplainError> {
         ctx.check_target(target)?;
         assert_eq!(ctx.len(), self.slots, "index built for a different context");
-        assert_eq!(
-            self.dead, 0,
+        assert!(
+            self.free.is_empty(),
             "context-addressed explain on a patched index; address by value"
         );
         Ok(())
@@ -657,13 +620,14 @@ impl ContextIndex {
         run.result
     }
 
-    /// Inserts one live row, returning its (fresh, generational) slot id.
+    /// Inserts one live row, returning its slot: the most recently freed
+    /// slot when there is one, else a new slot at the top of the universe.
     ///
     /// Cost: `O(|I|·C)` integer seed updates, `|I|` posting bit-sets, one
-    /// certificate hash update, and an amortized-O(1) grow of every
-    /// bitset — microseconds against the hundreds of milliseconds a
-    /// 100k+-row rebuild pays. A label first seen here opens a new class
-    /// seeded from the current posting totals.
+    /// certificate hash update, and — only when no slot is free — an
+    /// amortized-O(1) grow of every bitset: microseconds against the
+    /// hundreds of milliseconds a 100k+-row rebuild pays. A label first
+    /// seen here opens a new class seeded from the current posting totals.
     ///
     /// # Errors
     /// [`ExplainError::WidthMismatch`] when `x` does not match the
@@ -721,18 +685,21 @@ impl ContextIndex {
                 self.classes.len() - 1
             }
         };
-        let slot = self.slots;
-        self.slots += 1;
-        self.live.grow();
-        self.live.set(slot);
-        for postings in &mut self.by_value {
-            for ps in postings {
-                ps.grow();
+        let slot = match self.free.pop() {
+            Some(slot) => slot,
+            None => {
+                for postings in &mut self.by_value {
+                    for ps in postings {
+                        ps.grow();
+                    }
+                }
+                for c in &mut self.classes {
+                    c.rows.grow();
+                }
+                self.slots += 1;
+                self.slots - 1
             }
-        }
-        for c in &mut self.classes {
-            c.rows.grow();
-        }
+        };
         self.classes[cid].rows.set(slot);
         self.classes[cid].size += 1;
         let classes = &mut self.classes;
@@ -755,28 +722,26 @@ impl ContextIndex {
         Ok(slot)
     }
 
-    /// Tombstones one live row. The caller supplies the slot's original
-    /// `(x, p)` — churn owners keep slot-addressed row storage — and the
-    /// delta eagerly clears the row's bit from its postings, class set,
-    /// and live mask, and decrements its seed cells and certificate
-    /// entry, so no explain path ever needs a tombstone mask.
+    /// Removes one live row and frees its slot for the next insert. The
+    /// caller supplies the slot's original `(x, p)` — churn owners keep
+    /// slot-addressed row storage — and the delta eagerly clears the
+    /// row's bit from its postings and class set, and decrements its seed
+    /// cells and certificate entry, so no explain path ever needs a mask.
     ///
     /// # Panics
-    /// Panics when `slot` is out of range or already dead; debug builds
-    /// also verify `x` matches the bits being cleared.
+    /// Panics when `slot` is out of range, free, or not in `p`'s class;
+    /// debug builds also verify `x` matches the bits being cleared.
     pub fn remove_row(&mut self, slot: usize, x: &cce_dataset::Instance, p: Label) {
-        assert!(
-            slot < self.slots && self.live.get(slot),
-            "remove_row({slot}): slot dead or out of range"
-        );
         let cid = self
             .classes
             .iter()
             .position(|c| c.label == p)
             .expect("removed row's class is indexed");
-        debug_assert!(self.classes[cid].rows.get(slot), "row/class mismatch");
-        self.live.clear(slot);
-        self.dead += 1;
+        assert!(
+            slot < self.slots && self.classes[cid].rows.get(slot),
+            "remove_row({slot}): slot free, out of range or of another class"
+        );
+        self.free.push(slot);
         self.classes[cid].rows.clear(slot);
         self.classes[cid].size -= 1;
         let classes = &mut self.classes;
@@ -808,30 +773,6 @@ impl ContextIndex {
         }
         cce_obs::counter!("cce_index_deltas_total", "op" => "remove").inc();
     }
-
-    /// Reclaims trailing tombstones: pops dead slots off the top of the
-    /// universe until a live slot (or zero) is reached, shrinking every
-    /// bitset. This makes transient membership — insert, explain, remove,
-    /// the sliding window's explain-a-visitor pattern — allocation-stable
-    /// instead of growing the universe forever. Returns slots reclaimed.
-    pub fn truncate_dead_tail(&mut self) -> usize {
-        let mut popped = 0;
-        while self.slots > 0 && !self.live.get(self.slots - 1) {
-            for postings in &mut self.by_value {
-                for ps in postings {
-                    ps.pop();
-                }
-            }
-            for c in &mut self.classes {
-                c.rows.pop();
-            }
-            self.live.pop();
-            self.slots -= 1;
-            self.dead -= 1;
-            popped += 1;
-        }
-        popped
-    }
 }
 
 #[cfg(test)]
@@ -846,7 +787,12 @@ mod tests {
             words: s.words.iter().map(|w| !w).collect(),
             rows: s.rows,
         };
-        out.mask_tail();
+        let tail = out.rows % 64;
+        if tail != 0 {
+            if let Some(last) = out.words.last_mut() {
+                *last &= (1u64 << tail) - 1;
+            }
+        }
         out
     }
 
@@ -1071,11 +1017,14 @@ mod tests {
         for r in 0..ctx.len().min(140) {
             let (x, p) = (ctx.instance(r).clone(), ctx.prediction(r));
             let slot = idx.insert_row(&x, p).unwrap();
-            assert_eq!(slot, slots.len());
-            slots.push((x, p));
+            // A reused slot is shadowed by overwrite.
+            match slots.get_mut(slot) {
+                Some(shadow) => *shadow = (x, p),
+                None => slots.push((x, p)),
+            }
             live_of.push(slot);
-            // Evict from the middle and the front to exercise interior
-            // tombstones, at word-boundary-crossing cadences.
+            // Evict from the middle to exercise interior free slots, at
+            // word-boundary-crossing cadences.
             if r % 7 == 3 {
                 let victim = live_of.remove(live_of.len() / 2);
                 let (vx, vp) = slots[victim].clone();
@@ -1084,7 +1033,6 @@ mod tests {
         }
         let live: Vec<_> = live_of.iter().map(|&s| slots[s].clone()).collect();
         assert_eq!(idx.len(), live.len());
-        assert!(idx.tombstones() > 0);
         assert_matches_rebuild(&idx, &live);
     }
 
@@ -1112,10 +1060,10 @@ mod tests {
     }
 
     #[test]
-    fn transient_membership_reclaims_the_tail() {
+    fn transient_membership_grows_the_universe_by_at_most_one_slot() {
         let ctx = contexts().remove(0);
         let mut idx = ContextIndex::new(&ctx);
-        let slots_before = idx.slot_rows();
+        let slots_before = idx.slots;
         let x = ctx.instance(3).clone();
         let p = ctx.prediction(3);
         let mut scratch = ExplainScratch::new();
@@ -1125,10 +1073,9 @@ mod tests {
         for _ in 0..130 {
             let slot = idx.insert_row(&x, p).unwrap();
             idx.remove_row(slot, &x, p);
-            assert_eq!(idx.truncate_dead_tail(), 1);
         }
-        assert_eq!(idx.slot_rows(), slots_before);
-        assert_eq!(idx.tombstones(), 0);
+        assert_eq!(idx.slots, slots_before + 1);
+        assert_eq!(idx.tombstones(), 1);
         let after = idx
             .explain_value(&x, p, Alpha::ONE, WorkBudget::unlimited(), &mut scratch)
             .unwrap();

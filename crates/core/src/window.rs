@@ -39,7 +39,8 @@ pub enum ResolutionPolicy {
 
 /// The ΔI slide rule over a live context: once the engine holds more
 /// than `capacity` rows, every `delta` further arrivals evict the `delta`
-/// oldest — each a tombstone delta, never a rebuild.
+/// oldest — each a remove delta whose slot the next arrivals reuse, never
+/// a rebuild. A full window thus holds at most `capacity + delta` slots.
 ///
 /// [`SlidingWindow`] and the serving daemon's `--window` both slide
 /// through [`LiveWindow::slide`]; each keeps its own staged count.
@@ -312,7 +313,7 @@ impl crate::persist::Replayable for SlidingWindow {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::srk::Srk;
+    use crate::srk::{Srk, WorkBudget};
     use cce_dataset::{synth, BinSpec};
 
     fn setup(
@@ -324,6 +325,52 @@ mod tests {
         let ds = raw.encode(&BinSpec::uniform(8));
         let w = SlidingWindow::new(ds.schema_arc(), capacity, delta, Alpha::ONE, policy);
         (w, ds)
+    }
+
+    /// A full window through 3× its capacity in arrivals: the free slots
+    /// never exceed ΔI, the slot universe never exceeds capacity + ΔI,
+    /// and sampled explains match the naive oracle over the live rows.
+    #[test]
+    fn steady_state_window_stays_bounded() {
+        const CAPACITY: usize = 2000;
+        const DELTA: usize = 8;
+        let raw = synth::loan::generate(4 * CAPACITY, 5);
+        let ctx = Context::from_recorded(&raw.encode(&BinSpec::uniform(6)));
+        let base = Context::new(
+            ctx.schema_arc(),
+            ctx.instances()[..CAPACITY].to_vec(),
+            (0..CAPACITY).map(|r| ctx.prediction(r)).collect(),
+        );
+        let window = LiveWindow {
+            capacity: CAPACITY,
+            delta: DELTA,
+        };
+        let mut engine = BatchEngine::new(base, Alpha::ONE);
+        let srk = Srk::new(Alpha::ONE);
+        let mut staged = 0;
+        for (i, r) in (CAPACITY..4 * CAPACITY).enumerate() {
+            engine
+                .push(ctx.instance(r).clone(), ctx.prediction(r))
+                .unwrap();
+            window.slide(&mut engine, &mut staged);
+            assert!(engine.tombstones() <= DELTA, "arrival {i}");
+            assert!(
+                engine.len() + engine.tombstones() <= CAPACITY + DELTA,
+                "arrival {i}"
+            );
+            if (i + 1) % 500 == 0 {
+                let live = engine.materialize();
+                for t in (i % 97..engine.len()).step_by(331) {
+                    assert_eq!(
+                        engine
+                            .explain_one(t, WorkBudget::unlimited())
+                            .map(|b| b.key),
+                        srk.explain_naive(&live, t),
+                        "arrival {i} target {t}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

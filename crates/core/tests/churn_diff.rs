@@ -2,16 +2,16 @@
 //! *indistinguishable* from a freshly rebuilt one.
 //!
 //! The tentpole invariant — explains served off an index mutated in
-//! place by insert/delete deltas (generational tombstones, seed-table
-//! cell patches, incremental twin-hash certificate) are **byte-identical**
-//! to explains off an index built from scratch over the same live rows —
+//! place by insert/delete deltas (free-slot reuse, seed-table cell
+//! patches, incremental twin-hash certificate) are **byte-identical** to
+//! explains off an index built from scratch over the same live rows —
 //! checked under:
 //!
-//! * random interleavings of insert / ΔI-evict / explain / **forced
-//!   compaction** (a `max_tombstone_ratio` low enough that compaction
-//!   fires repeatedly mid-stream);
+//! * random interleavings of insert / ΔI-evict / explain / **drain and
+//!   refill** (every live row evicted, then as many pushed back, so every
+//!   slot is freed and reused in a new order);
 //! * word-boundary row counts (the stream is steered through 64 and 128
-//!   live rows, where `RowSet` words are exactly full and the tombstone
+//!   live rows, where `RowSet` words are exactly full and the free-slot
 //!   complement has no padding tail);
 //! * budgeted *and* unlimited explains (degradation points must survive
 //!   patching too);
@@ -23,7 +23,7 @@
 
 use std::sync::Arc;
 
-use cce_core::engine::{BatchEngine, EngineConfig};
+use cce_core::engine::BatchEngine;
 use cce_core::persist::{FaultPlan, MemVfs, PersistError, PersistState};
 use cce_core::{Alpha, Context, Durable, ResolutionPolicy, SlidingWindow, Srk, WorkBudget};
 use cce_dataset::{FeatureDef, Instance, Label, Schema};
@@ -55,12 +55,8 @@ fn pool_row(i: usize) -> (Instance, Label) {
     (Instance::new(vals), label)
 }
 
-fn empty_engine(cfg: EngineConfig) -> BatchEngine {
-    BatchEngine::with_config(
-        Context::new(schema(), Vec::new(), Vec::new()),
-        Alpha::ONE,
-        cfg,
-    )
+fn empty_engine() -> BatchEngine {
+    BatchEngine::new(Context::new(schema(), Vec::new(), Vec::new()), Alpha::ONE)
 }
 
 /// Asserts every live logical target explains byte-identically on the
@@ -82,26 +78,17 @@ fn assert_matches_rebuild(engine: &BatchEngine) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random interleavings of insert / ΔI-evict / explain / forced
-    /// compaction. The op stream is interpreted over a deterministic row
+    /// Random interleavings of insert / ΔI-evict / explain / drain and
+    /// refill. The op stream is interpreted over a deterministic row
     /// pool; after every explain op and at the end, the churned engine is
     /// differentially compared against a fresh rebuild.
     #[test]
     fn random_churn_matches_rebuild(
         ops in proptest::collection::vec(0u8..=9, 12..=48),
         seed in 0usize..1_000,
-        // Compaction threshold low enough that evict-heavy streams force
-        // it; `compact_min_slots: 1` drops the size guard entirely.
-        force_compact in 0u8..2,
     ) {
-        let cfg = if force_compact == 1 {
-            EngineConfig { compact_min_slots: 1, max_tombstone_ratio: 0.2 }
-        } else {
-            EngineConfig::default()
-        };
-        let mut engine = empty_engine(cfg);
+        let mut engine = empty_engine();
         let mut next_row = seed;
-        let mut compactions = 0u32;
         for (i, &op) in ops.iter().enumerate() {
             match op {
                 // Weighted toward inserts so contexts actually grow.
@@ -116,8 +103,13 @@ proptest! {
                     engine.evict_oldest(1 + (i % 3));
                 }
                 7 => {
-                    engine.compact();
-                    compactions += 1;
+                    let live = engine.len();
+                    engine.evict_oldest(live);
+                    for _ in 0..live {
+                        let (x, p) = pool_row(next_row);
+                        next_row += 1;
+                        prop_assert!(engine.push(x, p).is_ok());
+                    }
                 }
                 _ => {
                     // Spot-check one target cheaply, full check rarely.
@@ -133,12 +125,11 @@ proptest! {
                 }
             }
         }
-        let _ = compactions;
         assert_matches_rebuild(&engine);
     }
 
     /// Steers the live count exactly onto the 64- and 128-row word
-    /// boundaries with interior tombstones present, then compares.
+    /// boundaries with free slots present, then compares.
     #[test]
     fn word_boundary_live_counts_match_rebuild(
         two_words in 0u8..2,
@@ -146,9 +137,9 @@ proptest! {
         seed in 0usize..1_000,
     ) {
         let boundary = if two_words == 1 { 128usize } else { 64 };
-        let mut engine = empty_engine(EngineConfig::default());
+        let mut engine = empty_engine();
         // Overshoot the boundary, then evict the oldest `extra` rows so
-        // live == boundary with `extra` interior tombstones.
+        // live == boundary with `extra` free slots.
         for i in 0..boundary + extra {
             let (x, p) = pool_row(seed + i);
             prop_assert!(engine.push(x, p).is_ok());
@@ -162,33 +153,42 @@ proptest! {
     /// Transient membership: every arrival is explained ad hoc (the
     /// sliding window's visitor path) against the mutating engine; the
     /// result must equal appending the visitor to a materialized context
-    /// and running SRK, and the probe must leave no trace.
+    /// and running SRK, and the probe must leave the live rows and the
+    /// version alone. Across the whole stream the probes may add at most
+    /// one slot beyond the peak live count (a free slot the next push
+    /// reuses).
     #[test]
     fn adhoc_probes_leave_no_trace_under_churn(
         ops in proptest::collection::vec(0u8..=3, 8..=24),
         seed in 0usize..1_000,
     ) {
-        let mut engine = empty_engine(EngineConfig::default());
+        let mut engine = empty_engine();
         let srk = Srk::new(Alpha::ONE);
+        let mut peak = 0;
         for (next_row, &op) in (seed..).zip(ops.iter()) {
             let (x, p) = pool_row(next_row);
             match op {
                 0..=1 => { prop_assert!(engine.push(x, p).is_ok()); }
                 2 => { engine.evict_oldest(1); }
                 _ => {
-                    let before = (engine.len(), engine.tombstones(), engine.version());
+                    let before = (engine.len(), engine.version());
                     let got = engine.explain_adhoc(&x, p).map(|b| b.key);
                     let mut joined = engine.materialize();
                     joined.push(x, p).unwrap();
                     let want = srk.explain(&joined, joined.len() - 1);
                     prop_assert_eq!(got, want, "adhoc probe diverged");
                     prop_assert_eq!(
-                        (engine.len(), engine.tombstones(), engine.version()),
+                        (engine.len(), engine.version()),
                         before,
                         "adhoc probe mutated the engine"
                     );
                 }
             }
+            peak = peak.max(engine.len());
+            prop_assert!(
+                engine.len() + engine.tombstones() <= peak + 1,
+                "adhoc probes grew the slot universe"
+            );
         }
         assert_matches_rebuild(&engine);
     }

@@ -280,13 +280,16 @@ impl Response {
     }
 
     /// Serializes the response; `keep_alive` controls the `Connection`
-    /// header (the server closes after writing when it is false).
+    /// header (the server closes after writing when it is false). The
+    /// status line, headers and body go out in one `write_all`, so a
+    /// `TCP_NODELAY` socket sends one segment burst, not one per line.
     ///
     /// # Errors
     /// Propagates transport failures.
     pub fn write_to(&self, w: &mut impl Write, keep_alive: bool) -> io::Result<()> {
+        let mut buf = Vec::with_capacity(128 + self.body.len());
         write!(
-            w,
+            buf,
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
             self.status,
             reason(self.status),
@@ -295,10 +298,11 @@ impl Response {
             if keep_alive { "keep-alive" } else { "close" },
         )?;
         for (name, value) in &self.extra_headers {
-            write!(w, "{name}: {value}\r\n")?;
+            write!(buf, "{name}: {value}\r\n")?;
         }
-        w.write_all(b"\r\n")?;
-        w.write_all(&self.body)?;
+        buf.extend_from_slice(b"\r\n");
+        buf.extend_from_slice(&self.body);
+        w.write_all(&buf)?;
         w.flush()
     }
 }
@@ -369,4 +373,43 @@ pub fn read_response(r: &mut impl BufRead) -> Result<(u16, Vec<u8>), HttpError> 
         }
     }
     Ok((status, body))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A sink that records every `write` call.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn response_goes_out_in_one_write() {
+        let resp = Response::json(429, "{\"status\":\"shed\"}".to_string())
+            .with_header("Retry-After", "1".to_string());
+        let mut w = CountingWriter::default();
+        resp.write_to(&mut w, true).unwrap();
+        assert_eq!(w.writes, 1);
+        assert_eq!(
+            String::from_utf8(w.bytes).unwrap(),
+            "HTTP/1.1 429 Too Many Requests\r\nContent-Type: application/json\r\n\
+             Content-Length: 17\r\nConnection: keep-alive\r\nRetry-After: 1\r\n\r\n\
+             {\"status\":\"shed\"}"
+        );
+    }
 }

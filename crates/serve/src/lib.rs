@@ -82,21 +82,22 @@ pub fn build_app<V: Vfs>(
     )
 }
 
-/// [`build_app`] with an explicit [`EngineConfig`] and an optional
-/// [`LiveWindow`] bound on the ingest context — the CLI's entry point,
-/// carrying `--window`/`--window-delta` into the ΔI slide policy.
+/// [`build_app`] with an optional [`LiveWindow`] bound on the ingest
+/// context — the CLI's entry point, carrying `--window`/`--window-delta`
+/// into the ΔI slide policy. The [`EngineConfig`] is ignored (it has no
+/// fields); the parameter stays because the `perfbench` harness passes it.
 #[allow(clippy::too_many_arguments)]
 pub fn build_app_with<V: Vfs>(
     ctx: Context,
     alpha: Alpha,
-    engine_cfg: EngineConfig,
+    _engine_cfg: EngineConfig,
     batcher_cfg: BatcherConfig,
     admission_cfg: AdmissionConfig,
     backend: MonitorBackend<V>,
     window: Option<LiveWindow>,
 ) -> Arc<App<V>> {
     let schema = ctx.schema_arc();
-    let engine = BatchEngine::with_config(ctx, alpha, engine_cfg);
+    let engine = BatchEngine::new(ctx, alpha);
     let batcher = Arc::new(Batcher::new(engine, batcher_cfg, window));
     Arc::new(App::new(batcher, schema, admission_cfg, backend))
 }

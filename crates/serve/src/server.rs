@@ -6,6 +6,15 @@
 //! `503`), one thread running the backend's worker loop (the in-RAM
 //! batcher's coalescing queue; other backends have none).
 //!
+//! Connection threads are detached: the accept loop keeps no join
+//! handle, so an exited thread's stack is released at once. A handle
+//! held until drain would keep every closed connection's stack mapped,
+//! and tens of thousands of connections would exhaust the process's
+//! memory-map limit. An accept error — out of file descriptors, say —
+//! backs off for 10 ms instead of spinning (the pending connection stays
+//! in the backlog, so an immediate retry fails again), and counts
+//! `cce_serve_accept_errors_total`.
+//!
 //! # Drain protocol (SIGTERM-equivalent)
 //!
 //! `POST /admin/shutdown` (or any path that calls [`App::begin_drain`])
@@ -15,8 +24,9 @@
 //!    (the connection that carried the shutdown pokes the listener so
 //!    "next" is immediate).
 //! 2. **Finish in-flight** — connection threads stop keep-alive reuse
-//!    (`Connection: close` on every response once draining) and are
-//!    joined; blocked keep-alive reads expire via the read timeout.
+//!    (`Connection: close` on every response once draining) and the
+//!    server waits until none is left; blocked keep-alive reads expire
+//!    via the read timeout.
 //! 3. **Close the backend** — the in-RAM queue closes and every
 //!    already-accepted explain is answered before the batcher exits;
 //!    a sharded backend stops its supervisor and workers.
@@ -25,6 +35,7 @@
 
 use std::io::{self, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -33,6 +44,10 @@ use cce_core::persist::Vfs;
 
 use crate::app::App;
 use crate::http::{read_request, HttpError, Response};
+
+/// How long the accept loop sleeps after a failed `accept` (for example
+/// `EMFILE`), so a listener whose backlog cannot be drained does not spin.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(10);
 
 /// Transport-level knobs.
 #[derive(Debug, Clone, Copy)]
@@ -148,12 +163,15 @@ impl<V: Vfs + Send> Server<V> {
         std::thread::scope(|s| {
             let backend = Arc::clone(app.batcher());
             let backend_thread = s.spawn(move || backend.run());
-            let mut connections = Vec::new();
             for stream in self.listener.incoming() {
                 if app.draining() {
                     break;
                 }
-                let Ok(stream) = stream else { continue };
+                let Ok(stream) = stream else {
+                    cce_obs::counter!("cce_serve_accept_errors_total").inc();
+                    std::thread::sleep(ACCEPT_ERROR_BACKOFF);
+                    continue;
+                };
                 if active.load(Ordering::SeqCst) >= cfg.max_connections {
                     cce_obs::counter!("cce_serve_conn_rejected_total").inc();
                     let mut stream = stream;
@@ -164,19 +182,25 @@ impl<V: Vfs + Send> Server<V> {
                 active.fetch_add(1, Ordering::SeqCst);
                 cce_obs::gauge!("cce_serve_connections").set(active.load(Ordering::SeqCst) as i64);
                 let app = Arc::clone(app);
-                connections.push(s.spawn(move || {
-                    handle_connection(&app, stream, addr, cfg);
+                // The handle is dropped: the thread is detached, and the
+                // scope still waits for it before `run` returns.
+                s.spawn(move || {
+                    // A panicking connection must still release its count.
+                    let _ = catch_unwind(AssertUnwindSafe(|| {
+                        handle_connection(&app, stream, addr, cfg);
+                    }));
                     active.fetch_sub(1, Ordering::SeqCst);
                     cce_obs::gauge!("cce_serve_connections")
                         .set(active.load(Ordering::SeqCst) as i64);
-                }));
+                });
             }
-            // Draining: no new connections. Join the existing ones (their
-            // keep-alive loops exit on the next response or read timeout),
-            // then close the backend: the in-RAM queue flushes, shard
-            // workers stop only after every in-flight scatter is answered.
-            for c in connections {
-                let _ = c.join();
+            // Draining: no new connections. Wait out the existing ones
+            // (their keep-alive loops exit on the next response or read
+            // timeout), then close the backend: the in-RAM queue flushes,
+            // shard workers stop only after every in-flight scatter is
+            // answered.
+            while active.load(Ordering::SeqCst) > 0 {
+                std::thread::sleep(Duration::from_millis(1));
             }
             app.batcher().close();
             let _ = backend_thread.join();

@@ -576,6 +576,56 @@ fn drain_refuses_new_ingests_and_exits_cleanly() {
     );
 }
 
+/// Each connection runs on its own thread, and an exited thread must
+/// give its stack back at once: a join handle kept until drain leaves
+/// each closed connection's stack (two map entries: stack and guard
+/// page) mapped, and about 32.7k connections then abort the process at
+/// the memory-map limit.
+#[cfg(target_os = "linux")]
+#[test]
+fn closed_connections_release_their_thread_stacks() {
+    const REQUESTS: usize = 5000;
+    /// Allowed growth of `/proc/self/maps`, in lines: a tenth of what the
+    /// leak adds over `REQUESTS` connections, with room for the threads
+    /// of tests running beside this one.
+    const MAX_GROWTH: usize = 1000;
+    let app = plain_app(
+        loan_ctx(60),
+        BatcherConfig::default(),
+        AdmissionConfig::default(),
+    );
+    let daemon = start(app);
+    let healthz = || {
+        let (mut stream, mut reader) = connect(daemon.addr);
+        stream
+            .write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n")
+            .expect("write request");
+        let (status, _) = read_response(&mut reader).expect("read response");
+        assert_eq!(status, 200);
+    };
+    let map_lines = || {
+        std::fs::read_to_string("/proc/self/maps")
+            .expect("read /proc/self/maps")
+            .lines()
+            .count()
+    };
+    // Warm-up: the allocator's arenas and cached thread stacks settle.
+    for _ in 0..50 {
+        healthz();
+    }
+    let before = map_lines();
+    for _ in 0..REQUESTS {
+        healthz();
+    }
+    let after = map_lines();
+    assert!(
+        after < before + MAX_GROWTH,
+        "{REQUESTS} closed connections grew the memory map by {} lines",
+        after.saturating_sub(before)
+    );
+    daemon.stop();
+}
+
 /// Slow-client hardening: a client that sends the first bytes of a
 /// request and then stalls must be answered `408` and disconnected
 /// within the request deadline — before this, one slowloris connection
