@@ -22,7 +22,10 @@
 //!   the cache populated up to its budget;
 //! * **warm_vs_ram_ratio** — the acceptance ratio;
 //! * **hit_rate / cache_budget_mb** — how the cache behaved under the
-//!   25% cap.
+//!   25% cap;
+//! * **cold_misses / warm_misses** — page faults in each pass. The
+//!   targets and the cache budget are fixed, so these counts are the
+//!   same on any host.
 //!
 //! Every sampled explain is also checked against the in-RAM oracle —
 //! a perf number from wrong bits would be meaningless.
@@ -34,7 +37,8 @@
 //! * `--out <path>` — output path (default `BENCH_oocore.json`),
 //! * `--baseline <path>` — compare against a previous run and exit
 //!   non-zero when `warm_explains_per_sec` or `warm_vs_ram_ratio`
-//!   regresses by more than 20% — or when the baseline itself is
+//!   regresses by more than 20%, when `cold_misses` or `warm_misses`
+//!   differs from the baseline at all, or when the baseline itself is
 //!   malformed (missing keys, shape mismatch, zero/NaN fields): a
 //!   silently-skipped gate passes every regression.
 
@@ -60,6 +64,8 @@ struct OocoreResult {
     /// warm / ram — the acceptance ratio.
     warm_vs_ram_ratio: f64,
     hit_rate: f64,
+    cold_misses: u64,
+    warm_misses: u64,
 }
 
 fn run(rows: usize, n_targets: usize, page_size: usize) -> OocoreResult {
@@ -201,6 +207,8 @@ fn run(rows: usize, n_targets: usize, page_size: usize) -> OocoreResult {
         warm_explains_per_sec,
         warm_vs_ram_ratio: warm_explains_per_sec / ram_explains_per_sec.max(1e-9),
         hit_rate: stats.hit_rate(),
+        cold_misses: cs.misses,
+        warm_misses: stats.misses - cs.misses,
     }
 }
 
@@ -210,7 +218,8 @@ fn to_json(r: &OocoreResult, quick: bool) -> String {
          \"kernels\": \"{}\",\n  \"convert_secs\": {:.2},\n  \"store_mb\": {:.1},\n  \
          \"cache_budget_mb\": {:.1},\n  \"ram_explains_per_sec\": {:.1},\n  \
          \"cold_explains_per_sec\": {:.1},\n  \"warm_explains_per_sec\": {:.1},\n  \
-         \"warm_vs_ram_ratio\": {:.3},\n  \"hit_rate\": {:.3}\n}}\n",
+         \"warm_vs_ram_ratio\": {:.3},\n  \"hit_rate\": {:.3},\n  \"cold_misses\": {},\n  \
+         \"warm_misses\": {}\n}}\n",
         r.rows,
         r.targets,
         quick,
@@ -223,12 +232,16 @@ fn to_json(r: &OocoreResult, quick: bool) -> String {
         r.warm_explains_per_sec,
         r.warm_vs_ram_ratio,
         r.hit_rate,
+        r.cold_misses,
+        r.warm_misses,
     )
 }
 
 fn check_baseline(current: &str, baseline: &str) -> usize {
     gate::check_key(current, baseline, "warm_explains_per_sec")
         + gate::check_key(current, baseline, "warm_vs_ram_ratio")
+        + gate::check_exact(current, baseline, "cold_misses")
+        + gate::check_exact(current, baseline, "warm_misses")
 }
 
 fn main() {

@@ -697,7 +697,9 @@ fn explain_store_rejects_a_truncated_store() {
 
 /// A daemon out of file descriptors must not spin on `accept`: the
 /// pending connection stays in the backlog, so every retry fails at
-/// once. The child's descriptor limit is lowered in its own shell only.
+/// once. Every connection it did accept is answered, and the backlog is
+/// served once descriptors free up. The child's descriptor limit is
+/// lowered in its own shell only.
 #[cfg(target_os = "linux")]
 #[test]
 fn serve_backs_off_when_accept_runs_out_of_descriptors() {
@@ -713,24 +715,23 @@ fn serve_backs_off_when_accept_runs_out_of_descriptors() {
     }
 
     let path = export_loan();
-    let spawn = |limit: usize| {
-        let mut child = Command::new("sh")
-            .args([
-                "-c",
-                &format!(
-                    "ulimit -n {limit}; exec \"$0\" serve --data \"$1\" \
-                     --addr 127.0.0.1:0 --keepalive-ms 30000"
-                ),
-                env!("CARGO_BIN_EXE_cce"),
-                path.to_str().unwrap(),
-            ])
-            .stdout(std::process::Stdio::piped())
-            .spawn()
-            .expect("spawn cce serve under ulimit");
-        let mut stdout = std::io::BufReader::new(child.stdout.take().unwrap());
-        let (addr, _) = wait_for_listening(&mut stdout);
-        (Daemon(child), stdout, addr, limit)
-    };
+    let limit = 32;
+    let mut child = Command::new("sh")
+        .args([
+            "-c",
+            &format!(
+                "ulimit -n {limit}; exec \"$0\" serve --data \"$1\" \
+                 --addr 127.0.0.1:0 --keepalive-ms 30000"
+            ),
+            env!("CARGO_BIN_EXE_cce"),
+            path.to_str().unwrap(),
+        ])
+        .stdout(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn cce serve under ulimit");
+    let mut stdout = std::io::BufReader::new(child.stdout.take().unwrap());
+    let (addr, _) = wait_for_listening(&mut stdout);
+    let mut daemon = Daemon(child);
     let open_fds = |pid: u32| {
         std::fs::read_dir(format!("/proc/{pid}/fd"))
             .expect("list child descriptors")
@@ -753,37 +754,22 @@ fn serve_backs_off_when_accept_runs_out_of_descriptors() {
         true
     };
 
-    // An accepted connection holds two descriptors (the stream and its
-    // read clone): the table fills completely only when the number left
-    // free at startup is even.
-    let (mut daemon, _stdout, addr, limit) = {
-        let first = spawn(32);
-        if (32 - open_fds(first.0 .0.id())) % 2 == 0 {
-            first
-        } else {
-            drop(first);
-            spawn(33)
-        }
-    };
+    // An accepted connection holds one descriptor. Idle connections
+    // opened 20 ms apart, more than the table holds: the accept loop
+    // takes each one as it arrives until the table is full, and the rest
+    // wait in the listen backlog.
     let pid = daemon.0.id();
-    let base = open_fds(pid);
-
-    // A burst of more idle connections than descriptors: the accept loop
-    // takes them faster than their threads clone them, so the table
-    // fills and the rest wait in the listen backlog. A burst whose
-    // clones lose the race to the accept loop is closed and retried.
-    let mut clients = Vec::new();
-    for attempt in 0.. {
-        assert!(attempt < 10, "descriptor table never filled");
-        clients = (0..limit)
-            .map(|_| std::net::TcpStream::connect(&addr).expect("connect"))
-            .collect();
-        if wait_for(&|| open_fds(pid) == limit, Duration::from_secs(1)) {
-            break;
-        }
-        clients.clear();
-        assert!(wait_for(&|| open_fds(pid) == base, Duration::from_secs(5)));
-    }
+    let mut clients: Vec<std::net::TcpStream> = (0..limit)
+        .map(|_| {
+            let c = std::net::TcpStream::connect(&addr).expect("connect");
+            std::thread::sleep(Duration::from_millis(20));
+            c
+        })
+        .collect();
+    assert!(
+        wait_for(&|| open_fds(pid) == limit, Duration::from_secs(5)),
+        "descriptor table never filled"
+    );
     let before = cpu_ticks(pid);
     std::thread::sleep(Duration::from_secs(1));
     let spent = cpu_ticks(pid) - before;
@@ -791,6 +777,53 @@ fn serve_backs_off_when_accept_runs_out_of_descriptors() {
         spent < 20,
         "accept loop burned {spent} ticks of CPU in 1 s with descriptors exhausted"
     );
+
+    // Every accepted connection answers; a connection still in the
+    // backlog waits. None is closed without a response.
+    let answered_within = |c: &mut std::net::TcpStream, within: Duration| -> bool {
+        use std::io::Read as _;
+        c.set_read_timeout(Some(within)).unwrap();
+        let mut head = [0u8; 12];
+        let mut got = 0;
+        while got < head.len() {
+            match c.read(&mut head[got..]) {
+                Ok(0) => panic!("connection closed without a response"),
+                Ok(n) => got += n,
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                    ) && got == 0 =>
+                {
+                    return false
+                }
+                Err(e) => panic!("connection failed without a response: {e}"),
+            }
+        }
+        let status = std::str::from_utf8(&head[9..12]).unwrap();
+        assert!(status == "200" || status == "503", "status {status}");
+        true
+    };
+    for c in &mut clients {
+        use std::io::Write as _;
+        c.write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+            .expect("send request");
+    }
+    let answered: Vec<bool> = clients
+        .iter_mut()
+        .map(|c| answered_within(c, Duration::from_millis(300)))
+        .collect();
+    assert!(
+        answered.contains(&false),
+        "no connection waited in the backlog"
+    );
+    // Close the answered connections: the backlog drains into the freed
+    // descriptors, and every waiting request is answered.
+    let mut answered = answered.into_iter();
+    clients.retain(|_| !answered.next().unwrap());
+    for c in &mut clients {
+        assert!(answered_within(c, Duration::from_secs(10)));
+    }
 
     // Once the connections close, the daemon serves again.
     drop(clients);

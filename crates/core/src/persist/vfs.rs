@@ -150,12 +150,18 @@ impl Vfs for StdVfs {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(io_err("open-range", path, e)),
         };
+        let file_len = f
+            .metadata()
+            .map_err(|e| io_err("stat-range", path, e))?
+            .len();
         f.seek(SeekFrom::Start(offset))
             .map_err(|e| io_err("seek", path, e))?;
-        // `take` clamps at EOF, and `read_to_end` grows the buffer
-        // incrementally, so a corrupt caller-supplied length cannot force
-        // a huge up-front allocation.
-        let mut buf = Vec::new();
+        // Size the buffer once, clamped to the bytes the file holds past
+        // `offset`, so a corrupt caller-supplied length cannot force a
+        // huge up-front allocation. `take` still stops at EOF should the
+        // file shrink underneath.
+        let avail = file_len.saturating_sub(offset).min(len as u64) as usize;
+        let mut buf = Vec::with_capacity(avail);
         f.take(len as u64)
             .read_to_end(&mut buf)
             .map_err(|e| io_err("read-range", path, e))?;

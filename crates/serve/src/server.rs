@@ -33,11 +33,12 @@
 //! 4. **Final checkpoint** — the durable monitor rotates one last
 //!    snapshot, so a clean restart replays zero WAL records.
 
+use std::cell::Cell;
 use std::io::{self, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cce_core::persist::Vfs;
@@ -79,7 +80,7 @@ impl Default for ServerConfig {
     }
 }
 
-/// The read half of a connection with an absolute per-request deadline.
+/// The read side of a connection with an absolute per-request deadline.
 ///
 /// While no request is in flight the socket waits under the keep-alive
 /// timeout; the first byte of a request arms the shared deadline cell,
@@ -88,17 +89,16 @@ impl Default for ServerConfig {
 /// `request_deadline` of its first byte, however slowly the client
 /// trickles. The connection loop clears the cell after each complete
 /// request.
-struct DeadlineReader {
-    stream: TcpStream,
-    deadline: Arc<Mutex<Option<Instant>>>,
+struct DeadlineReader<'a> {
+    stream: &'a TcpStream,
+    deadline: &'a Cell<Option<Instant>>,
     keep_alive: Duration,
     request_deadline: Duration,
 }
 
-impl Read for DeadlineReader {
+impl Read for DeadlineReader<'_> {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let armed = *self.deadline.lock().unwrap_or_else(|e| e.into_inner());
-        match armed {
+        match self.deadline.get() {
             Some(dl) => {
                 let Some(remaining) = dl.checked_duration_since(Instant::now()) else {
                     return Err(io::Error::new(
@@ -115,8 +115,8 @@ impl Read for DeadlineReader {
                 self.stream.set_read_timeout(Some(self.keep_alive))?;
                 let n = self.stream.read(buf)?;
                 if n > 0 {
-                    *self.deadline.lock().unwrap_or_else(|e| e.into_inner()) =
-                        Some(Instant::now() + self.request_deadline);
+                    self.deadline
+                        .set(Some(Instant::now() + self.request_deadline));
                 }
                 Ok(n)
             }
@@ -211,27 +211,26 @@ impl<V: Vfs + Send> Server<V> {
     }
 }
 
-/// One connection's keep-alive loop.
+/// One connection's keep-alive loop. It reads and writes through one
+/// borrowed descriptor: a daemon at its descriptor limit still answers
+/// every connection it accepted.
 fn handle_connection<V: Vfs>(app: &App<V>, stream: TcpStream, addr: SocketAddr, cfg: ServerConfig) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_write_timeout(Some(cfg.write_timeout));
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let deadline = Arc::new(Mutex::new(None));
+    let deadline = Cell::new(None);
     let mut reader = BufReader::new(DeadlineReader {
-        stream: read_half,
-        deadline: Arc::clone(&deadline),
+        stream: &stream,
+        deadline: &deadline,
         keep_alive: cfg.keep_alive_timeout,
         request_deadline: cfg.request_deadline,
     });
-    let mut writer = stream;
+    let mut writer = &stream;
     loop {
         match read_request(&mut reader) {
             Ok(req) => {
                 // Full request in hand: disarm the slow-client deadline
                 // so keep-alive idling is governed by its own timeout.
-                *deadline.lock().unwrap_or_else(|e| e.into_inner()) = None;
+                deadline.set(None);
                 let resp = app.handle(&req);
                 // Drain may have begun *during* this request (the
                 // shutdown route) — never keep alive past that point.
@@ -250,7 +249,7 @@ fn handle_connection<V: Vfs>(app: &App<V>, stream: TcpStream, addr: SocketAddr, 
                 // A timeout with the deadline armed is a stalled client
                 // mid-request — tell it why before closing. Idle
                 // keep-alive expiry (deadline unarmed) closes silently.
-                let armed = deadline.lock().unwrap_or_else(|p| p.into_inner()).is_some();
+                let armed = deadline.get().is_some();
                 let stalled = armed
                     && matches!(
                         &e,
