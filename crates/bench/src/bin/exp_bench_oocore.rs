@@ -15,17 +15,26 @@
 //! * **convert_secs / store_mb** — one-time CSV→store conversion cost
 //!   and the resulting file size;
 //! * **ram_explains_per_sec** — the in-RAM baseline over the same
-//!   target sample;
+//!   target sample, timed after one untimed warm-up pass (the paged
+//!   warm pass runs after the cold pass, so both sides are warm);
 //! * **cold_explains_per_sec** — first pass on a fresh open: every page
 //!   faults through the `Vfs`;
 //! * **warm_explains_per_sec** — second pass over the same targets with
 //!   the cache populated up to its budget;
 //! * **warm_vs_ram_ratio** — the acceptance ratio;
+//! * **warm_nt_explains_per_sec / warm_nt_vs_1t_ratio** — the warm pass
+//!   again, run by `available_parallelism()` threads sharing the one
+//!   index, and its ratio to the 1-thread warm pass. Both are absolute,
+//!   host-dependent figures: reported, not gated;
 //! * **hit_rate / cache_budget_mb** — how the cache behaved under the
 //!   25% cap;
 //! * **cold_misses / warm_misses** — page faults in each pass. The
 //!   targets and the cache budget are fixed, so these counts are the
-//!   same on any host.
+//!   same on any host;
+//! * **tight_misses** — page faults of a cold and a warm pass on a
+//!   fresh open whose budget is half the cold working set
+//!   (`cold_misses` pages), so the count moves with the eviction order
+//!   and with the budget. Also fixed on any host.
 //!
 //! Every sampled explain is also checked against the in-RAM oracle —
 //! a perf number from wrong bits would be meaningless.
@@ -37,10 +46,10 @@
 //! * `--out <path>` — output path (default `BENCH_oocore.json`),
 //! * `--baseline <path>` — compare against a previous run and exit
 //!   non-zero when `warm_explains_per_sec` or `warm_vs_ram_ratio`
-//!   regresses by more than 20%, when `cold_misses` or `warm_misses`
-//!   differs from the baseline at all, or when the baseline itself is
-//!   malformed (missing keys, shape mismatch, zero/NaN fields): a
-//!   silently-skipped gate passes every regression.
+//!   regresses by more than 20%, when `cold_misses`, `warm_misses` or
+//!   `tight_misses` differs from the baseline at all, or when the
+//!   baseline itself is malformed (missing keys, shape mismatch,
+//!   zero/NaN fields): a silently-skipped gate passes every regression.
 
 use std::time::Instant;
 
@@ -63,9 +72,13 @@ struct OocoreResult {
     warm_explains_per_sec: f64,
     /// warm / ram — the acceptance ratio.
     warm_vs_ram_ratio: f64,
+    warm_nt_explains_per_sec: f64,
+    /// warm_nt / warm, within one run.
+    warm_nt_vs_1t_ratio: f64,
     hit_rate: f64,
     cold_misses: u64,
     warm_misses: u64,
+    tight_misses: u64,
 }
 
 fn run(rows: usize, n_targets: usize, page_size: usize) -> OocoreResult {
@@ -92,10 +105,13 @@ fn run(rows: usize, n_targets: usize, page_size: usize) -> OocoreResult {
     // --- in-RAM baseline ----------------------------------------------
     eprintln!("  building in-RAM index…");
     let index = ContextIndex::new(&ctx);
-    let mut oracle = Vec::with_capacity(targets.len());
+    let oracle: Vec<_> = targets
+        .iter()
+        .map(|&t| index.explain(&ctx, t, alpha))
+        .collect();
     let t0 = Instant::now();
     for &t in &targets {
-        oracle.push(index.explain(&ctx, t, alpha));
+        std::hint::black_box(index.explain(&ctx, t, alpha)).ok();
     }
     let ram_explains_per_sec = targets.len() as f64 / t0.elapsed().as_secs_f64().max(1e-9);
 
@@ -118,7 +134,7 @@ fn run(rows: usize, n_targets: usize, page_size: usize) -> OocoreResult {
     drop(probe);
     let cache_budget = ram_resident_bytes / 4;
 
-    let mut paged = PagedContextIndex::open(StdVfs, &store_path, cache_budget).expect("open store");
+    let paged = PagedContextIndex::open(StdVfs, &store_path, cache_budget).expect("open store");
     eprintln!(
         "  cold pass: {} targets, cache budget {:.1} MiB…",
         targets.len(),
@@ -151,6 +167,47 @@ fn run(rows: usize, n_targets: usize, page_size: usize) -> OocoreResult {
         stats.evictions - cs.evictions
     );
 
+    // The warm pass again, by every core at once over the shared index:
+    // each thread explains all targets, starting at its own offset.
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    eprintln!("  warm pass, {threads} threads…");
+    let t0 = Instant::now();
+    std::thread::scope(|s| {
+        for i in 0..threads {
+            let (paged, targets, oracle) = (&paged, &targets, &oracle);
+            s.spawn(move || {
+                for j in 0..targets.len() {
+                    let k = (j + i * targets.len() / threads) % targets.len();
+                    let got = paged.explain_row(targets[k], alpha);
+                    assert_eq!(
+                        got, oracle[k],
+                        "concurrent explain diverged at {}",
+                        targets[k]
+                    );
+                }
+            });
+        }
+    });
+    let warm_nt_explains_per_sec =
+        (threads * targets.len()) as f64 / t0.elapsed().as_secs_f64().max(1e-9);
+
+    // A budget below the cold working set: pages the cold pass faulted
+    // are evicted and faulted again, so the miss count pins the
+    // eviction order as well as the access order.
+    let tight_budget = cs.misses as usize * page_size / 2;
+    let tight = PagedContextIndex::open(StdVfs, &store_path, tight_budget).expect("open store");
+    for _ in 0..2 {
+        for (i, &t) in targets.iter().enumerate() {
+            let got = tight.explain_row(t, alpha);
+            assert_eq!(got, oracle[i], "tight-cache explain diverged at target {t}");
+        }
+    }
+    let tight_misses = tight.cache_stats().misses;
+    eprintln!(
+        "  tight cache ({:.1} MiB): {tight_misses} misses over two passes",
+        tight_budget as f64 / (1024.0 * 1024.0)
+    );
+
     // CCE_OOCORE_MICRO=1: decompose the warm-paged vs in-RAM gap into
     // (a) whole-explain costs on one pinned target, (b) the page-hit
     // path, and (c) a raw full-column kernel pass — the three candidate
@@ -175,7 +232,7 @@ fn run(rows: usize, n_targets: usize, page_size: usize) -> OocoreResult {
         let t0 = Instant::now();
         let hit_reps = 100_000u32;
         for _ in 0..hit_reps {
-            let _ = paged.store_mut().page(id).expect("hit");
+            let _ = paged.store().page(id).expect("hit");
         }
         let hit_ns = t0.elapsed().as_secs_f64() * 1e9 / f64::from(hit_reps);
         let a = vec![!0u64; g.words];
@@ -206,9 +263,12 @@ fn run(rows: usize, n_targets: usize, page_size: usize) -> OocoreResult {
         cold_explains_per_sec,
         warm_explains_per_sec,
         warm_vs_ram_ratio: warm_explains_per_sec / ram_explains_per_sec.max(1e-9),
+        warm_nt_explains_per_sec,
+        warm_nt_vs_1t_ratio: warm_nt_explains_per_sec / warm_explains_per_sec.max(1e-9),
         hit_rate: stats.hit_rate(),
         cold_misses: cs.misses,
         warm_misses: stats.misses - cs.misses,
+        tight_misses,
     }
 }
 
@@ -218,8 +278,9 @@ fn to_json(r: &OocoreResult, quick: bool) -> String {
          \"kernels\": \"{}\",\n  \"convert_secs\": {:.2},\n  \"store_mb\": {:.1},\n  \
          \"cache_budget_mb\": {:.1},\n  \"ram_explains_per_sec\": {:.1},\n  \
          \"cold_explains_per_sec\": {:.1},\n  \"warm_explains_per_sec\": {:.1},\n  \
-         \"warm_vs_ram_ratio\": {:.3},\n  \"hit_rate\": {:.3},\n  \"cold_misses\": {},\n  \
-         \"warm_misses\": {}\n}}\n",
+         \"warm_vs_ram_ratio\": {:.3},\n  \"warm_nt_explains_per_sec\": {:.1},\n  \
+         \"warm_nt_vs_1t_ratio\": {:.3},\n  \"hit_rate\": {:.3},\n  \"cold_misses\": {},\n  \
+         \"warm_misses\": {},\n  \"tight_misses\": {}\n}}\n",
         r.rows,
         r.targets,
         quick,
@@ -231,9 +292,12 @@ fn to_json(r: &OocoreResult, quick: bool) -> String {
         r.cold_explains_per_sec,
         r.warm_explains_per_sec,
         r.warm_vs_ram_ratio,
+        r.warm_nt_explains_per_sec,
+        r.warm_nt_vs_1t_ratio,
         r.hit_rate,
         r.cold_misses,
         r.warm_misses,
+        r.tight_misses,
     )
 }
 
@@ -242,6 +306,7 @@ fn check_baseline(current: &str, baseline: &str) -> usize {
         + gate::check_key(current, baseline, "warm_vs_ram_ratio")
         + gate::check_exact(current, baseline, "cold_misses")
         + gate::check_exact(current, baseline, "warm_misses")
+        + gate::check_exact(current, baseline, "tight_misses")
 }
 
 fn main() {
@@ -275,7 +340,8 @@ fn main() {
     let r = run(rows, n_targets, page_size);
     eprintln!(
         "  convert {:.1}s ({:.0} MB) | ram {:.1}/s | cold {:.1}/s | warm {:.1}/s \
-         ({:.0}% of ram, hit rate {:.0}%, cache {:.0} MiB)",
+         ({:.0}% of ram, hit rate {:.0}%, cache {:.0} MiB) | warm, all cores {:.1}/s \
+         ({:.2}x one thread)",
         r.convert_secs,
         r.store_mb,
         r.ram_explains_per_sec,
@@ -284,6 +350,8 @@ fn main() {
         r.warm_vs_ram_ratio * 100.0,
         r.hit_rate * 100.0,
         r.cache_budget_mb,
+        r.warm_nt_explains_per_sec,
+        r.warm_nt_vs_1t_ratio,
     );
 
     let json = to_json(&r, quick);

@@ -272,7 +272,7 @@ fn explain_store(args: &Args, store: &str) -> Result<(), String> {
     let target = args.int("target")?.ok_or("missing --target")? as usize;
     let alpha = alpha_of(args)?;
     let budget = budget_of(args)?;
-    let mut paged = cce_core::PagedContextIndex::open(StdVfs, store, cache_bytes_of(args)?)
+    let paged = cce_core::PagedContextIndex::open(StdVfs, store, cache_bytes_of(args)?)
         .map_err(|e| format!("opening {store}: {e}"))?;
     let rows = paged.len();
     let result = paged.explain_row_budgeted(target, alpha, budget);
@@ -294,7 +294,7 @@ fn explain_store(args: &Args, store: &str) -> Result<(), String> {
         );
     }
     let (x, label, _twins) = paged
-        .store_mut()
+        .store()
         .row(target)
         .map_err(|e| format!("reading row {target} from {store}: {e}"))?;
     let schema = paged.store().schema().clone();
@@ -536,7 +536,7 @@ fn serve(args: &Args) -> Result<(), String> {
     // Disk-backed mode: `/explain` answers from the converted store via
     // the page cache. The store is a read-only context: ingest feeds
     // only the monitor, so there is nothing for a window to slide.
-    let mut paged = match args.optional("store") {
+    let paged = match args.optional("store") {
         Some(path) => {
             if args.optional("data").is_some() {
                 return Err("--store and --data are mutually exclusive".into());
@@ -572,10 +572,10 @@ fn serve(args: &Args) -> Result<(), String> {
         ));
     }
     // The monitor's seed row comes from the store when disk-backed.
-    let (seed_x, seed_pred) = match paged.as_mut() {
+    let (seed_x, seed_pred) = match &paged {
         Some(p) => {
             let (x, pred, _twins) = p
-                .store_mut()
+                .store()
                 .row(target)
                 .map_err(|e| format!("reading row {target}: {e}"))?;
             (x, pred)

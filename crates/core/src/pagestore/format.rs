@@ -45,7 +45,7 @@
 //! framing, directory checksum, and cross-invariants before serving a
 //! single page.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use cce_dataset::{Instance, Label, Schema};
 
@@ -553,13 +553,20 @@ pub fn write_store<V: Vfs>(
 /// `open` reads and cross-checks only the header and footer; bitset and
 /// row pages fault in lazily through the [`LruPageCache`], each frame
 /// CRC-verified before its bits reach a kernel.
+///
+/// Reads take `&self`, so explains share one store. The geometry and
+/// directory are immutable; the cache and the `Vfs` sit behind their
+/// own locks, the cache's held for one lookup or insert and the
+/// `Vfs`'s for one ranged read. The CRC check and the word decode — the
+/// bulk of a miss — run outside both. Two threads missing the same page
+/// both read and verify it; the second insert just refreshes the entry.
 #[derive(Debug)]
 pub struct PageStore<V: Vfs> {
-    vfs: V,
+    vfs: Mutex<V>,
     path: String,
     geom: Geometry,
     dir: Directory,
-    cache: LruPageCache,
+    cache: Mutex<LruPageCache>,
 }
 
 impl<V: Vfs> PageStore<V> {
@@ -635,11 +642,11 @@ impl<V: Vfs> PageStore<V> {
             ));
         }
         Ok(Self {
-            vfs,
+            vfs: Mutex::new(vfs),
             path: path.to_string(),
             geom,
             dir,
-            cache: LruPageCache::new(cache_budget),
+            cache: Mutex::new(LruPageCache::new(cache_budget)),
         })
     }
 
@@ -665,20 +672,29 @@ impl<V: Vfs> PageStore<V> {
 
     /// Page-cache counters for `/healthz` and the bench.
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
+        self.cache().stats()
+    }
+
+    /// The page cache, locked. No caller code runs under this lock, so
+    /// a poisoned one is taken over rather than propagated.
+    fn cache(&self) -> MutexGuard<'_, LruPageCache> {
+        self.cache.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Faults page `id` in (or returns the cached copy), verifying the
     /// frame CRC and — for bitset pages — the tail-bit invariant before
-    /// the bits can reach a kernel.
-    pub fn page(&mut self, id: u64) -> Result<Arc<PageData>, PersistError> {
-        if let Some(p) = self.cache.get(id) {
+    /// the bits can reach a kernel. Only verified pages are cached.
+    pub fn page(&self, id: u64) -> Result<Arc<PageData>, PersistError> {
+        let hit = self.cache().get(id);
+        if let Some(p) = hit {
             return Ok(p);
         }
         debug_assert!(id < self.geom.total_pages);
         let frame_len = self.geom.page_size + PAGE_CRC_LEN;
         let frame = self
             .vfs
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
             .read_range(&self.path, self.geom.page_offset(id), frame_len)?
             .ok_or_else(|| PersistError::Io {
                 op: "read-page",
@@ -704,7 +720,7 @@ impl<V: Vfs> PageStore<V> {
             PageData::Bytes(payload.to_vec())
         };
         let page = Arc::new(data);
-        self.cache.insert(id, Arc::clone(&page));
+        self.cache().insert(id, Arc::clone(&page));
         Ok(page)
     }
 
@@ -735,7 +751,7 @@ impl<V: Vfs> PageStore<V> {
     ///
     /// # Errors
     /// [`PersistError`] on fault failure; `r` must be `< rows`.
-    pub fn row(&mut self, r: usize) -> Result<(Instance, Label, u32), PersistError> {
+    pub fn row(&self, r: usize) -> Result<(Instance, Label, u32), PersistError> {
         debug_assert!(r < self.geom.rows);
         let (id, off) = self.geom.row_slot(r);
         let page = self.page(id)?;

@@ -25,8 +25,17 @@
 //! mismatch — aborts the explain with [`ExplainError::Storage`]. The
 //! loop never consumes unverified bits, so a corrupt store yields an
 //! error, never a silently wrong key.
+//!
+//! # Concurrency
+//!
+//! Explains take `&self`. Besides the page cache (locked per lookup,
+//! see [`PageStore`]), an explain's only mutable state is its scratch:
+//! two live-set bitsets and the candidate heap. Each explain pops one
+//! from a pool and pushes it back when done, so the pool holds at most
+//! as many scratches as explains ever ran at once.
 
 use std::ops::Range;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use cce_dataset::{Instance, Label};
 
@@ -61,7 +70,7 @@ fn words_of(page: &PageData) -> Result<&[u64], PersistError> {
 /// of column `with` (else empty), pinned alongside so a single-page
 /// cache cannot evict one to admit the other.
 fn walk<V: Vfs>(
-    store: &mut PageStore<V>,
+    store: &PageStore<V>,
     col: usize,
     with: Option<usize>,
     mut visit: impl FnMut(Range<usize>, &[u64], &[u64]) -> u64,
@@ -88,7 +97,7 @@ fn walk<V: Vfs>(
 /// The paged count source: the live sets are full-width scratch words,
 /// intersected with posting columns streamed through the page cache.
 struct PagedCounts<'a, V: Vfs> {
-    store: &'a mut PageStore<V>,
+    store: &'a PageStore<V>,
     violators: &'a mut [u64],
     supporters: &'a mut [u64],
     /// Posting column per feature, fixed by the target's values.
@@ -165,28 +174,32 @@ impl<V: Vfs> CountSource for PagedCounts<'_, V> {
     }
 }
 
+/// One explain's working state: the live-set bitsets — the only
+/// full-width bitsets the paged path keeps resident (2 × ⌈rows/64⌉
+/// words) — and the candidate heap.
+#[derive(Debug)]
+struct Scratch {
+    violators: Vec<u64>,
+    supporters: Vec<u64>,
+    heap: CandidateHeap,
+}
+
 /// An out-of-core [`ContextIndex`](crate::ContextIndex): answers the
 /// same explain queries from a [`PageStore`], faulting bitset pages
 /// through the LRU cache instead of holding every posting in RAM.
 #[derive(Debug)]
 pub struct PagedContextIndex<V: Vfs> {
     store: PageStore<V>,
-    /// Violator-set scratch — the only full-width bitsets the paged
-    /// path keeps resident (2 × ⌈rows/64⌉ words).
-    violators: Vec<u64>,
-    supporters: Vec<u64>,
-    heap: CandidateHeap,
+    /// Idle scratches; an explain pops one (or allocates) and returns it.
+    scratch: Mutex<Vec<Scratch>>,
 }
 
 impl<V: Vfs> PagedContextIndex<V> {
     /// Wraps an opened store.
     pub fn new(store: PageStore<V>) -> Self {
-        let words = store.geometry().words;
         Self {
             store,
-            violators: vec![0; words],
-            supporters: vec![0; words],
-            heap: CandidateHeap::default(),
+            scratch: Mutex::new(Vec::new()),
         }
     }
 
@@ -213,7 +226,8 @@ impl<V: Vfs> PagedContextIndex<V> {
         &self.store
     }
 
-    /// Mutable store access — row reads fault pages through the cache.
+    /// Exclusive store access. Every store read takes `&self`, so
+    /// [`PagedContextIndex::store`] serves as well.
     pub fn store_mut(&mut self) -> &mut PageStore<V> {
         &mut self.store
     }
@@ -229,11 +243,7 @@ impl<V: Vfs> PagedContextIndex<V> {
     /// # Errors
     /// Same failure modes as the in-RAM path, plus
     /// [`ExplainError::Storage`] when a page cannot be faulted in.
-    pub fn explain_row(
-        &mut self,
-        target: usize,
-        alpha: Alpha,
-    ) -> Result<RelativeKey, ExplainError> {
+    pub fn explain_row(&self, target: usize, alpha: Alpha) -> Result<RelativeKey, ExplainError> {
         self.explain_row_budgeted(target, alpha, WorkBudget::unlimited())
             .map(|b| b.key)
     }
@@ -244,7 +254,7 @@ impl<V: Vfs> PagedContextIndex<V> {
     /// # Errors
     /// Same failure modes as [`PagedContextIndex::explain_row`].
     pub fn explain_row_budgeted(
-        &mut self,
+        &self,
         target: usize,
         alpha: Alpha,
         budget: WorkBudget,
@@ -271,7 +281,7 @@ impl<V: Vfs> PagedContextIndex<V> {
     /// [`ExplainError::ValueOutOfRange`] for codes outside the schema
     /// and [`ExplainError::Storage`] for fault failures.
     pub fn explain_value(
-        &mut self,
+        &self,
         x0: &Instance,
         p0: Label,
         alpha: Alpha,
@@ -286,7 +296,7 @@ impl<V: Vfs> PagedContextIndex<V> {
     /// the paged columns; `twin_certificate` is row `target`'s stored
     /// contradiction count when the caller is row-addressed.
     fn explain_value_core(
-        &mut self,
+        &self,
         x0: &Instance,
         p0: Label,
         alpha: Alpha,
@@ -318,18 +328,22 @@ impl<V: Vfs> PagedContextIndex<V> {
         let Some(ci) = dir.classes.iter().position(|c| c.label == p0) else {
             return Err(ExplainError::UnknownInstance);
         };
-        // Owned copies, so no directory borrow outlives the faulting
-        // source below.
         let class_size = dir.classes[ci].size;
         let seeds = (0..n)
             .map(|f| dir.classes[ci].seed[f][x0[f] as usize])
             .collect();
         let posting_col = (0..n).map(|f| geom.value_col(f, x0[f] as usize)).collect();
         let class_col = geom.class_col(ci);
+        let pooled = self.pool().pop();
+        let mut scratch = pooled.unwrap_or_else(|| Scratch {
+            violators: vec![0; geom.words],
+            supporters: vec![0; geom.words],
+            heap: CandidateHeap::default(),
+        });
         let mut src = PagedCounts {
-            store: &mut self.store,
-            violators: &mut self.violators,
-            supporters: &mut self.supporters,
+            store: &self.store,
+            violators: &mut scratch.violators,
+            supporters: &mut scratch.supporters,
             posting_col,
             seeds,
             class_col,
@@ -337,8 +351,16 @@ impl<V: Vfs> PagedContextIndex<V> {
             twin_certificate,
             materialized: false,
         };
-        let run = greedy::run(&mut src, alpha, budget, &mut self.heap).map_err(storage_err)?;
+        let run = greedy::run(&mut src, alpha, budget, &mut scratch.heap);
+        self.pool().push(scratch);
+        let run = run.map_err(storage_err)?;
         record_run!("paged", &run);
         run.result
+    }
+
+    /// The idle-scratch pool, locked. It only ever holds whole
+    /// scratches, so a poisoned lock is taken over.
+    fn pool(&self) -> MutexGuard<'_, Vec<Scratch>> {
+        self.scratch.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }

@@ -41,7 +41,7 @@ fn indexed_and_paged_explains_count_under_their_own_labels() {
     let index = ContextIndex::new(&ctx);
     let mut vfs = MemVfs::new();
     write_store(&mut vfs, "ctx.pg", &ctx, 4096, &[]).expect("convert");
-    let mut paged = PagedContextIndex::open(vfs, "ctx.pg", 1 << 20).expect("open");
+    let paged = PagedContextIndex::open(vfs, "ctx.pg", 1 << 20).expect("open");
 
     let (indexed0, paged0) = (scans("indexed"), scans("paged"));
     index.explain(&ctx, target, Alpha::ONE).unwrap();

@@ -15,7 +15,10 @@
 //!   fates on reboot — the published path never holds a torn store, and
 //!   a re-convert on the rebooted filesystem always recovers;
 //! * injected short/torn *ranged reads* — the fault surfaces as an
-//!   error on exactly the explain that consumed it.
+//!   error on exactly the explain that consumed it;
+//! * one rotted bitset page under concurrent explains — every explain
+//!   that touches it errors, every other one is unchanged, and the bad
+//!   page is never cached.
 
 use std::sync::Arc;
 
@@ -50,7 +53,7 @@ fn small_ctx() -> Context {
 /// The store is valid iff every explain matches the in-RAM oracle; a
 /// corrupt store must fail loudly somewhere on this path instead.
 fn open_and_check(vfs: MemVfs, ctx: &Context) -> Result<(), String> {
-    let mut paged = match PagedContextIndex::open(vfs, PATH, 1 << 16) {
+    let paged = match PagedContextIndex::open(vfs, PATH, 1 << 16) {
         Ok(p) => p,
         Err(_) => return Ok(()), // detected at open: acceptable
     };
@@ -158,7 +161,7 @@ fn kill_during_convert_is_torn_proof_and_recoverable() {
             // Phase 1: whatever survived must never serve torn data.
             match PagedContextIndex::open(vfs.clone(), PATH, 1 << 16) {
                 Err(_) => {} // no published store (or tail-rotted rename) — fine
-                Ok(mut paged) => {
+                Ok(paged) => {
                     for target in (0..ctx.len()).step_by(9) {
                         let want = oracle.explain(&ctx, target, Alpha::ONE);
                         match paged.explain_row(target, Alpha::ONE) {
@@ -175,8 +178,7 @@ fn kill_during_convert_is_torn_proof_and_recoverable() {
             // Phase 2: rebuild on the rebooted filesystem and verify.
             let mut vfs = vfs;
             write_store(&mut vfs, PATH, &ctx, 32, &[]).expect("re-convert after reboot");
-            let mut paged =
-                PagedContextIndex::open(vfs, PATH, 1 << 16).expect("rebuilt store opens");
+            let paged = PagedContextIndex::open(vfs, PATH, 1 << 16).expect("rebuilt store opens");
             for target in (0..ctx.len()).step_by(11) {
                 assert_eq!(
                     paged.explain_row(target, Alpha::ONE),
@@ -211,7 +213,7 @@ fn failed_convert_preserves_the_previous_store() {
             continue; // kill point past the convert — nothing to check
         }
         let rebooted = planned.into_rebooted();
-        let mut paged = match PagedContextIndex::open(rebooted, PATH, 1 << 16) {
+        let paged = match PagedContextIndex::open(rebooted, PATH, 1 << 16) {
             Ok(p) => p,
             // The interrupted convert may have completed its rename and
             // then lost the *unsynced* new file's tail at reboot; that
@@ -251,5 +253,76 @@ fn invalid_page_sizes_are_rejected() {
     assert!(
         vfs.read(PATH).expect("read").is_none(),
         "no partial file published"
+    );
+}
+
+/// Four threads explain over a store with one flipped byte in a bitset
+/// page. An explain touches that page iff, on a clean store opened
+/// fresh with room for every page, the page is resident afterwards.
+/// Each touching explain errors — on every pass, so the bad page never
+/// reached the cache — and every other explain matches the oracle.
+#[test]
+fn concurrent_explains_over_one_rotted_page() {
+    // Unlike `small_ctx`, whose every row has a flipped-label twin (so
+    // explains end on the certificate without reading a bitset page),
+    // these rows are mostly explainable.
+    let names = ["a", "b", "c"];
+    let feats = (0..4)
+        .map(|f| FeatureDef::categorical(&format!("f{f}"), &names))
+        .collect();
+    let instances = (0..60u32)
+        .map(|r| Instance::new((0..4).map(|f| (r * (f + 5) / (f + 2)) % 3).collect()))
+        .collect();
+    let predictions = (0..60).map(|r| Label(u32::from(r % 5 < 2))).collect();
+    let ctx = Context::new(Arc::new(Schema::new(feats)), instances, predictions);
+    let oracle = ContextIndex::new(&ctx);
+    let (clean, mut bytes) = written_store(&ctx, 24);
+    // Page 0 is the posting column of `f0 = a` (one page per column at
+    // 60 rows); a third of the targets touch it.
+    let bad_page = 0u64;
+    let touches: Vec<bool> = (0..ctx.len())
+        .map(|t| {
+            let fresh = PagedContextIndex::open(clean.clone(), PATH, 1 << 20).expect("open");
+            assert_eq!(
+                fresh.explain_row(t, Alpha::ONE),
+                oracle.explain(&ctx, t, Alpha::ONE)
+            );
+            let misses = fresh.cache_stats().misses;
+            fresh.store().page(bad_page).expect("clean page");
+            fresh.cache_stats().misses == misses
+        })
+        .collect();
+    assert!(touches.iter().any(|&t| t) && !touches.iter().all(|&t| t));
+
+    // Frames follow the 24-byte header at a 28-byte stride (24-byte
+    // payload, CRC trailer); the flip lands inside the payload.
+    bytes[24 + 28 * bad_page as usize + 5] ^= 0x10;
+    let mut rotted = MemVfs::new();
+    rotted.write(PATH, &bytes).expect("write rotted store");
+    let paged = PagedContextIndex::open(rotted, PATH, 1 << 20).expect("footer intact");
+    std::thread::scope(|scope| {
+        for seed in 1..=4u64 {
+            let (paged, ctx, oracle, touches) = (&paged, &ctx, &oracle, &touches);
+            scope.spawn(move || {
+                for pass in 0..2 {
+                    for i in 0..ctx.len() {
+                        let t = (i * 7 + seed as usize * 13 + pass) % ctx.len();
+                        let got = paged.explain_row(t, Alpha::ONE);
+                        if touches[t] {
+                            assert!(
+                                matches!(got, Err(ExplainError::Storage { .. })),
+                                "target {t} touches the rotted page: {got:?}"
+                            );
+                        } else {
+                            assert_eq!(got, oracle.explain(ctx, t, Alpha::ONE), "target {t}");
+                        }
+                    }
+                }
+            });
+        }
+    });
+    assert!(
+        paged.store().page(bad_page).is_err(),
+        "bad page never cached"
     );
 }

@@ -11,13 +11,15 @@
 //! * cache budgets from pathologically small (0 bytes: every unpinned
 //!   page evicted immediately, maximal churn) to everything-resident;
 //! * work budgets, where the paged path must degrade at exactly the
-//!   same scan count with exactly the same partial key.
+//!   same scan count with exactly the same partial key;
+//! * concurrent explains: threads sharing one index, its page cache and
+//!   its scratch pool, under a one-page and a mid-size cache budget.
 
 use std::sync::Arc;
 
 use cce_core::persist::MemVfs;
 use cce_core::{
-    pagestore::write_store, Alpha, Context, ContextIndex, ExplainScratch, PagedContextIndex,
+    pagestore::write_store, Alpha, Context, ContextIndex, ExplainScratch, PagedContextIndex, Srk,
     WorkBudget,
 };
 use cce_dataset::{FeatureDef, Instance, Label, Schema};
@@ -52,7 +54,7 @@ fn paged_of(ctx: &Context, page_size: usize, cache_budget: usize) -> PagedContex
 fn assert_paged_matches(ctx: &Context, page_size: usize, cache_budget: usize, alpha: f64) {
     let alpha = Alpha::new(alpha).expect("valid alpha");
     let index = ContextIndex::new(ctx);
-    let mut paged = paged_of(ctx, page_size, cache_budget);
+    let paged = paged_of(ctx, page_size, cache_budget);
     assert_eq!(paged.len(), ctx.len());
     for target in 0..ctx.len() {
         let ram = index.explain(ctx, target, alpha);
@@ -143,7 +145,7 @@ proptest! {
         let budget = WorkBudget::new(max_scans);
         let index = ContextIndex::new(&ctx);
         let mut scratch = ExplainScratch::new();
-        let mut paged = paged_of(&ctx, 32, 1 << 20);
+        let paged = paged_of(&ctx, 32, 1 << 20);
         for target in 0..ctx.len() {
             let ram = index.explain_budgeted_with(&ctx, target, alpha, budget, &mut scratch);
             let disk = paged.explain_row_budgeted(target, alpha, budget);
@@ -156,7 +158,7 @@ proptest! {
 fn empty_context_round_trips_and_errors_identically() {
     let ctx = build_ctx(2, 2, &[], &[]);
     let index = ContextIndex::new(&ctx);
-    let mut paged = paged_of(&ctx, 24, 1 << 16);
+    let paged = paged_of(&ctx, 24, 1 << 16);
     assert!(paged.is_empty());
     assert_eq!(
         paged.explain_row(0, Alpha::ONE),
@@ -172,7 +174,7 @@ fn warm_explains_hit_the_cache_and_tiny_budgets_churn() {
 
     // Generous budget: a second pass over the same targets should be
     // served (almost) entirely from cache.
-    let mut warm = paged_of(&ctx, 32, 1 << 20);
+    let warm = paged_of(&ctx, 32, 1 << 20);
     for t in 0..20 {
         warm.explain_row(t, Alpha::ONE).ok();
     }
@@ -190,7 +192,7 @@ fn warm_explains_hit_the_cache_and_tiny_budgets_churn() {
 
     // Pathological budget: everything still correct (checked by the
     // proptests above); here we pin down that eviction actually churns.
-    let mut churn = paged_of(&ctx, 32, 36); // one 32-byte page + overhead
+    let churn = paged_of(&ctx, 32, 36); // one 32-byte page + overhead
     for t in 0..20 {
         churn.explain_row(t, Alpha::ONE).ok();
     }
@@ -204,7 +206,7 @@ fn unknown_label_and_width_errors_match() {
     let vals: Vec<u32> = (0..20 * 2).map(|i| (i as u32) % 3).collect();
     let labels: Vec<u32> = vec![0; 20];
     let ctx = build_ctx(2, 3, &vals, &labels);
-    let mut paged = paged_of(&ctx, 24, 1 << 16);
+    let paged = paged_of(&ctx, 24, 1 << 16);
     // A label never recorded into the context.
     let miss = paged.explain_value(
         &Instance::new(vec![0, 0]),
@@ -242,4 +244,92 @@ fn unknown_label_and_width_errors_match() {
             got: 5,
         })
     );
+}
+
+/// Threads sharing one index: every answer — row-addressed,
+/// value-addressed and budgeted — equals the in-RAM index and the naive
+/// reference, whatever the interleaving. The one-page budget keeps
+/// every thread faulting and evicting pages the others have pinned.
+#[test]
+fn concurrent_explains_match_ram_and_naive() {
+    const THREADS: u64 = 4;
+    let mut s = 0x5EED_u64;
+    let mut next = || {
+        s = s
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (s >> 33) as u32
+    };
+    let rows = 300;
+    let vals: Vec<u32> = (0..rows * 4).map(|_| next() % 3).collect();
+    let labels: Vec<u32> = (0..rows).map(|_| next() % 2).collect();
+    let ctx = build_ctx(4, 3, &vals, &labels);
+    let alpha = Alpha::new(0.95).expect("valid alpha");
+    let budget = WorkBudget::new(40);
+
+    // Oracles, computed once: the in-RAM index, checked against the
+    // naive reference where both are unbudgeted.
+    let index = ContextIndex::new(&ctx);
+    let srk = Srk::new(alpha);
+    let mut scratch = ExplainScratch::new();
+    let full: Vec<_> = (0..ctx.len())
+        .map(|t| {
+            let ram =
+                index.explain_budgeted_with(&ctx, t, alpha, WorkBudget::unlimited(), &mut scratch);
+            assert_eq!(
+                ram,
+                srk.explain_naive_budgeted(&ctx, t, WorkBudget::unlimited()),
+                "in-RAM index diverged from the naive reference at target {t}"
+            );
+            ram
+        })
+        .collect();
+    let budgeted: Vec<_> = (0..ctx.len())
+        .map(|t| index.explain_budgeted_with(&ctx, t, alpha, budget, &mut scratch))
+        .collect();
+    assert!(
+        budgeted
+            .iter()
+            .any(|b| matches!(b, Ok(k) if !k.status.is_complete())),
+        "the work budget must cut some explains short"
+    );
+
+    // 24-byte pages: two pages per bitset column, one row per row page.
+    let page_size = 24;
+    let mid = 8 * page_size;
+    for cache_budget in [page_size, mid] {
+        let paged = paged_of(&ctx, page_size, cache_budget);
+        std::thread::scope(|scope| {
+            for seed in 0..THREADS {
+                let (paged, ctx, full, budgeted) = (&paged, &ctx, &full, &budgeted);
+                scope.spawn(move || {
+                    // A per-thread Fisher-Yates order over the rows.
+                    let mut order: Vec<usize> = (0..ctx.len()).collect();
+                    let mut s = seed.wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                    for i in (1..order.len()).rev() {
+                        s ^= s << 13;
+                        s ^= s >> 7;
+                        s ^= s << 17;
+                        order.swap(i, (s % (i as u64 + 1)) as usize);
+                    }
+                    for t in order {
+                        let at = format!("target {t}, thread {seed}, cache {cache_budget}");
+                        let row = paged.explain_row_budgeted(t, alpha, WorkBudget::unlimited());
+                        assert_eq!(row, full[t], "row-addressed, {at}");
+                        let by_value = paged.explain_value(
+                            ctx.instance(t),
+                            ctx.prediction(t),
+                            alpha,
+                            WorkBudget::unlimited(),
+                        );
+                        assert_eq!(by_value, full[t], "value-addressed, {at}");
+                        let cut = paged.explain_row_budgeted(t, alpha, budget);
+                        assert_eq!(cut, budgeted[t], "budgeted, {at}");
+                    }
+                });
+            }
+        });
+        let stats = paged.cache_stats();
+        assert!(stats.misses > 0 && stats.hits > 0, "{stats:?}");
+    }
 }

@@ -845,6 +845,51 @@ fn store_backed_serving_matches_ram_and_reports_cache() {
     daemon.stop();
 }
 
+/// Store explains run in parallel on the connection threads: 8 clients
+/// explaining distinct targets at once each get the bytes a
+/// per-request in-RAM explain renders through `explain_response`.
+#[test]
+fn concurrent_store_explains_match_ram_byte_for_byte() {
+    let ctx = loan_ctx(240);
+    let alpha = Alpha::new(ALPHA).unwrap();
+    let daemon = start(store_app(&ctx, AdmissionConfig::default()));
+    let addr = daemon.addr;
+    let served: Vec<(usize, u16, Vec<u8>)> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..8)
+            .map(|client| {
+                s.spawn(move || {
+                    let (mut stream, mut reader) = connect(addr);
+                    (client..240)
+                        .step_by(8)
+                        .map(|t| {
+                            let body = format!("{{\"target\":{t}}}");
+                            send(&mut stream, "POST", "/explain", &body);
+                            let (status, bytes) = read_response(&mut reader).expect("response");
+                            (t, status, bytes)
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("client thread"))
+            .collect()
+    });
+    assert_eq!(served.len(), 240);
+    let srk = Srk::new(alpha);
+    for (t, status, body) in served {
+        let want = explain_response(
+            t,
+            alpha,
+            &srk.explain_budgeted(&ctx, t, WorkBudget::unlimited()),
+        );
+        assert_eq!(status, want.status, "target {t}");
+        assert_eq!(body, want.body, "target {t}: served bytes must match RAM");
+    }
+    daemon.stop();
+}
+
 /// Corrupt every page payload *after* the store was opened (MemVfs
 /// clones share state, modeling on-disk rot under a running daemon):
 /// the CRC catches the first fault and the request maps to `500`.
