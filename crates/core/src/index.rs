@@ -308,6 +308,24 @@ impl CountSource for IndexCounts<'_> {
     }
 }
 
+/// One greedy round's counts over an index, from
+/// [`ContextIndex::round_counts`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RoundCounts {
+    /// Live rows `|I|`.
+    pub rows: usize,
+    /// Live violators: rows agreeing with `x₀` on every picked feature
+    /// and predicted other than `p₀`.
+    pub violators: usize,
+    /// Rows identical to `x₀` and predicted other than `p₀`: the
+    /// violators no key can eliminate.
+    pub twins: usize,
+    /// Per feature `f`: the live violators sharing `x₀`'s value of `f`.
+    pub surv: Vec<usize>,
+    /// Per feature `f`: the live supporters sharing `x₀`'s value of `f`.
+    pub cover: Vec<usize>,
+}
+
 /// The posting-list index of one [`Context`], **patchable in place**.
 ///
 /// Built once over a frozen context snapshot, then kept current under
@@ -620,6 +638,117 @@ impl ContextIndex {
         run.result
     }
 
+    /// Width and per-feature code range of an instance about to be
+    /// indexed or counted against.
+    fn check_codes(&self, x: &Instance) -> Result<(), ExplainError> {
+        let n = self.by_value.len();
+        if x.len() != n {
+            return Err(ExplainError::WidthMismatch {
+                expected: n,
+                got: x.len(),
+            });
+        }
+        for (f, postings) in self.by_value.iter().enumerate() {
+            if x[f] as usize >= postings.len() {
+                return Err(ExplainError::ValueOutOfRange {
+                    feature: f,
+                    value: x[f],
+                    cardinality: postings.len(),
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// A class with no live row: nothing covers it, so every seed cell is
+    /// (posting total, 0) — and any existing class's surv0 + cover0 *is*
+    /// the posting total, so no bitset is popcounted.
+    fn empty_class(&self, label: Label) -> ClassIndex {
+        let seed = match self.classes.first() {
+            Some(c0) => c0
+                .seed
+                .iter()
+                .map(|cells| cells.iter().map(|&(s, c)| (s + c, 0)).collect())
+                .collect(),
+            None => self
+                .by_value
+                .iter()
+                .map(|ps| vec![(0, 0); ps.len()])
+                .collect(),
+        };
+        ClassIndex {
+            label,
+            rows: RowSet::zeros(self.slots),
+            size: 0,
+            seed,
+        }
+    }
+
+    /// One greedy round's counts for `(x₀, p₀)` after `picked`: the counts
+    /// a shard worker answers with. Every field adds up over disjoint row
+    /// partitions, which is what lets a router sum shard answers into the
+    /// single-process run. Recomputed from the postings on every call
+    /// through the same count source the indexed explain drives, so it
+    /// holds no state between rounds. A `p₀` with no live row is fine:
+    /// every live row is then a violator and every cover is 0.
+    ///
+    /// # Errors
+    /// [`ExplainError::WidthMismatch`] or [`ExplainError::ValueOutOfRange`]
+    /// for a malformed `x₀`, and [`ExplainError::InvalidConfig`] for a
+    /// picked feature out of range.
+    pub fn round_counts(
+        &self,
+        x0: &Instance,
+        p0: Label,
+        picked: &[usize],
+        scratch: &mut ExplainScratch,
+    ) -> Result<RoundCounts, ExplainError> {
+        self.check_codes(x0)?;
+        let n = self.by_value.len();
+        if picked.iter().any(|&f| f >= n) {
+            return Err(ExplainError::InvalidConfig {
+                reason: "picked feature out of range",
+            });
+        }
+        let absent;
+        let class = match self.classes.iter().find(|c| c.label == p0) {
+            Some(c) => c,
+            None => {
+                absent = self.empty_class(p0);
+                &absent
+            }
+        };
+        let mut src = IndexCounts {
+            idx: self,
+            x0,
+            class,
+            violators: &mut scratch.violators,
+            supporters: &mut scratch.supporters,
+            materialized: false,
+        };
+        let Ok((rows, mut violators)) = src.start();
+        for &f in picked {
+            let Ok(v) = src.pick(f);
+            violators = v;
+        }
+        let (surv, cover) = (0..n)
+            .map(|f| {
+                if picked.is_empty() {
+                    return src.seed(f);
+                }
+                let (Ok(s), Ok(c)) = (src.surv(f), src.cover(f));
+                (s, c)
+            })
+            .unzip();
+        Ok(RoundCounts {
+            rows,
+            violators,
+            twins: self.twin_violators(x0, p0),
+            surv,
+            cover,
+        })
+    }
+
     /// Inserts one live row, returning its slot: the most recently freed
     /// slot when there is one, else a new slot at the top of the universe.
     ///
@@ -637,51 +766,14 @@ impl ContextIndex {
         x: &cce_dataset::Instance,
         p: Label,
     ) -> Result<usize, ExplainError> {
-        let n = self.by_value.len();
-        if x.len() != n {
-            return Err(ExplainError::WidthMismatch {
-                expected: n,
-                got: x.len(),
-            });
-        }
-        // Reject out-of-cardinality value codes before any mutation:
-        // posting lists and seed tables are addressed by code, and a row
-        // silently skipped here would later panic the seed argmax when
-        // explained as a target.
-        for (f, postings) in self.by_value.iter().enumerate() {
-            if x[f] as usize >= postings.len() {
-                return Err(ExplainError::ValueOutOfRange {
-                    feature: f,
-                    value: x[f],
-                    cardinality: postings.len(),
-                });
-            }
-        }
+        // Reject bad codes before any mutation: posting lists and seed
+        // tables are addressed by code, and a row silently skipped here
+        // would later panic the seed argmax when explained as a target.
+        self.check_codes(x)?;
         let cid = match self.classes.iter().position(|c| c.label == p) {
             Some(i) => i,
             None => {
-                // A brand-new class: nothing covers it yet, so every seed
-                // cell is (posting total, 0) — and any existing class's
-                // surv0 + cover0 *is* the posting total, so no bitset is
-                // popcounted.
-                let seed: Vec<Vec<(usize, usize)>> = match self.classes.first() {
-                    Some(c0) => c0
-                        .seed
-                        .iter()
-                        .map(|cells| cells.iter().map(|&(s, c)| (s + c, 0)).collect())
-                        .collect(),
-                    None => self
-                        .by_value
-                        .iter()
-                        .map(|ps| vec![(0, 0); ps.len()])
-                        .collect(),
-                };
-                self.classes.push(ClassIndex {
-                    label: p,
-                    rows: RowSet::zeros(self.slots),
-                    size: 0,
-                    seed,
-                });
+                self.classes.push(self.empty_class(p));
                 self.classes.len() - 1
             }
         };
@@ -1122,5 +1214,102 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// `round_counts` by a literal row scan.
+    fn scanned_counts(ctx: &Context, x0: &Instance, p0: Label, picked: &[usize]) -> RoundCounts {
+        let n = ctx.schema().n_features();
+        let mut want = RoundCounts {
+            rows: ctx.len(),
+            violators: 0,
+            twins: 0,
+            surv: vec![0; n],
+            cover: vec![0; n],
+        };
+        for r in 0..ctx.len() {
+            let (x, p) = (ctx.instance(r), ctx.prediction(r));
+            want.twins += usize::from(x == x0 && p != p0);
+            if picked.iter().any(|&f| x[f] != x0[f]) {
+                continue;
+            }
+            want.violators += usize::from(p != p0);
+            let cells = if p == p0 {
+                &mut want.cover
+            } else {
+                &mut want.surv
+            };
+            for (f, cell) in cells.iter_mut().enumerate() {
+                *cell += usize::from(x[f] == x0[f]);
+            }
+        }
+        want
+    }
+
+    #[test]
+    fn round_counts_match_a_row_scan_and_add_up_over_partitions() {
+        for ctx in contexts() {
+            let n = ctx.schema().n_features();
+            // Partition `b` holds no row of the first row's class, so
+            // its targets' class is absent there.
+            let absent = ctx.prediction(0);
+            let (mut a, mut b) = (
+                Context::empty(ctx.schema_arc()),
+                Context::empty(ctx.schema_arc()),
+            );
+            for r in 0..ctx.len() {
+                let (x, p) = (ctx.instance(r).clone(), ctx.prediction(r));
+                let part = if r % 2 == 0 || p == absent {
+                    &mut a
+                } else {
+                    &mut b
+                };
+                part.push(x, p).unwrap();
+            }
+            let idx = [&ctx, &a, &b].map(ContextIndex::new);
+            let mut scratch = ExplainScratch::new();
+            for t in (0..ctx.len()).step_by(37) {
+                let (x0, p0) = (ctx.instance(t), ctx.prediction(t));
+                for k in 0..=3 {
+                    let picked: Vec<usize> = (0..k).map(|i| (t + 5 * i) % n).collect();
+                    let [full, ra, rb] = [0, 1, 2]
+                        .map(|i| idx[i].round_counts(x0, p0, &picked, &mut scratch).unwrap());
+                    assert_eq!(full, scanned_counts(&ctx, x0, p0, &picked), "t={t} k={k}");
+                    assert_eq!(rb, scanned_counts(&b, x0, p0, &picked), "t={t} k={k}");
+                    let sum = |f: fn(&RoundCounts) -> &Vec<usize>| -> Vec<usize> {
+                        f(&ra).iter().zip(f(&rb)).map(|(x, y)| x + y).collect()
+                    };
+                    assert_eq!(ra.rows + rb.rows, full.rows);
+                    assert_eq!(ra.violators + rb.violators, full.violators);
+                    assert_eq!(ra.twins + rb.twins, full.twins);
+                    assert_eq!(sum(|c| &c.surv), full.surv);
+                    assert_eq!(sum(|c| &c.cover), full.cover);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn round_counts_reject_malformed_requests() {
+        let ctx = &contexts()[0];
+        let idx = ContextIndex::new(ctx);
+        let mut scratch = ExplainScratch::new();
+        let (x0, p0) = (ctx.instance(0), ctx.prediction(0));
+        let mut wide = x0.values().to_vec();
+        wide.push(0);
+        assert!(matches!(
+            idx.round_counts(&Instance::new(wide), p0, &[], &mut scratch),
+            Err(ExplainError::WidthMismatch { .. })
+        ));
+        let mut bad = x0.values().to_vec();
+        bad[1] = ctx.schema().feature(1).cardinality() as u32;
+        assert!(matches!(
+            idx.round_counts(&Instance::new(bad), p0, &[], &mut scratch),
+            Err(ExplainError::ValueOutOfRange { feature: 1, .. })
+        ));
+        let n = ctx.schema().n_features();
+        assert!(matches!(
+            idx.round_counts(x0, p0, &[0, n], &mut scratch),
+            Err(ExplainError::InvalidConfig { .. })
+        ));
     }
 }

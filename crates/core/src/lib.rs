@@ -74,7 +74,7 @@ pub use context::Context;
 pub use engine::BatchEngine;
 pub use error::ExplainError;
 pub use importance::{shapley_exact, shapley_sampled, ImportanceParams, OnlineImportance};
-pub use index::{ContextIndex, ExplainScratch};
+pub use index::{ContextIndex, ExplainScratch, RoundCounts};
 pub use kernels::Kernels;
 pub use key::RelativeKey;
 pub use monitor::DriftMonitor;

@@ -97,6 +97,12 @@ impl Dataset {
         self.instances.is_empty()
     }
 
+    /// Takes the dataset apart without copying a row: the shared schema,
+    /// the instances and their aligned labels.
+    pub fn into_parts(self) -> (Arc<Schema>, Vec<Instance>, Vec<Label>) {
+        (self.schema, self.instances, self.labels)
+    }
+
     /// All instances.
     pub fn instances(&self) -> &[Instance] {
         &self.instances
