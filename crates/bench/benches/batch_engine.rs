@@ -3,12 +3,12 @@
 //! Compares, on one shared `explain_all` workload:
 //!
 //! * `srk_seq` — the pre-engine baseline: the row-list scan, no index,
-//! * `lazy_seq` — CELF lazy-greedy selection + fused popcounts + scratch
+//! * `lazy_seq` — CELF lazy-greedy selection + fused popcounts + live-set
 //!   reuse, still sequential,
 //! * `engine_parallel` — the full engine: lazy greedy + duplicate-row
 //!   memoization + work-stealing scheduler.
 
-use cce_core::{Alpha, Cce, CceConfig, Context, ContextIndex, ExplainScratch, Srk};
+use cce_core::{Alpha, Cce, CceConfig, Context, ContextIndex, Srk};
 use cce_dataset::{synth, BinSpec};
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -38,11 +38,10 @@ fn bench_batch_engine(c: &mut Criterion) {
         });
     });
     group.bench_function(format!("lazy_seq/{n}"), |b| {
-        let mut scratch = ExplainScratch::new();
         b.iter(|| {
             let mut keys = 0usize;
             for t in 0..n {
-                keys += usize::from(idx.explain_with(ctx, t, alpha, &mut scratch).is_ok());
+                keys += usize::from(idx.explain(ctx, t, alpha).is_ok());
             }
             std::hint::black_box(keys)
         });

@@ -7,9 +7,10 @@
 //! * **before** — the pre-engine path: the lazy-greedy driver over row
 //!   lists, sequential, no index ([`Srk::explain`], what plain
 //!   `cce explain` runs);
-//! * **lazy_seq** — the same driver over the bitset index with scratch
-//!   reuse, still sequential ([`ContextIndex::explain_with`]);
-//! * **after** — the full engine: lazy greedy + scratch reuse +
+//! * **lazy_seq** — the same driver over the bitset index, still
+//!   sequential ([`ContextIndex::explain`], reusing the thread's live
+//!   sets and candidate heap across targets);
+//! * **after** — the full engine: lazy greedy + per-thread buffer reuse +
 //!   duplicate-row memoization + work-stealing scheduler
 //!   ([`Cce::explain_all_parallel`]).
 //!
@@ -20,7 +21,7 @@
 //! A separate **large-context** entry exercises the direct indexed path
 //! (SIMD kernels, one thread) at production scale: one Loan context of
 //! 1 000 000 rows (200 000 in `--quick`), explained at ~512 sampled
-//! targets through [`ContextIndex::explain_with`], reporting index build
+//! targets through [`ContextIndex::explain`], reporting index build
 //! time and `explains_per_sec` — the number the kernel work moves.
 //!
 //! Flags / environment:
@@ -38,7 +39,7 @@
 use std::time::Instant;
 
 use cce_bench::gate;
-use cce_core::{Alpha, Cce, CceConfig, Context, ContextIndex, ExplainScratch, Srk};
+use cce_core::{Alpha, Cce, CceConfig, Context, ContextIndex, Srk};
 use cce_dataset::{synth, BinSpec};
 
 /// One `(dataset, buckets, alpha)` measurement.
@@ -127,16 +128,15 @@ fn run_config(
         - scans_srk_0)
         / reps as u64;
 
-    // --- lazy sequential with scratch reuse ----------------------------
+    // --- lazy sequential over the index --------------------------------
     let scans_lazy_0 = counter_value("cce_explain_violator_scans_total", Some("indexed"));
     let skips_0 = counter_value("cce_lazy_greedy_skips_total", None);
     let mut lazy_keys = 0usize;
     let lazy_secs = time_best(reps, || {
         let idx = ContextIndex::new(&ctx);
-        let mut scratch = ExplainScratch::new();
         let mut keys = 0usize;
         for t in 0..n {
-            keys += usize::from(idx.explain_with(&ctx, t, alpha, &mut scratch).is_ok());
+            keys += usize::from(idx.explain(&ctx, t, alpha).is_ok());
         }
         lazy_keys = keys;
     });
@@ -152,11 +152,10 @@ fn run_config(
     // --- per-key latency percentiles (separate pass: the per-key timer
     // pairs would otherwise inflate the throughput numbers) -------------
     let idx = ContextIndex::new(&ctx);
-    let mut scratch = ExplainScratch::new();
     let mut per_key_ns: Vec<u64> = Vec::with_capacity(n);
     for t in 0..n {
         let k0 = Instant::now();
-        let _ = idx.explain_with(&ctx, t, alpha, &mut scratch);
+        let _ = idx.explain(&ctx, t, alpha);
         per_key_ns.push(k0.elapsed().as_nanos() as u64);
     }
 
@@ -233,16 +232,15 @@ fn run_large(rows: usize) -> LargeResult {
     let n_targets = 512.min(rows);
     let step = (rows / n_targets).max(1);
     let targets: Vec<usize> = (0..n_targets).map(|i| i * step).collect();
-    let mut scratch = ExplainScratch::new();
     // Warm-up pass (page in the postings, settle the kernel dispatch).
     for &t in targets.iter().take(32) {
-        let _ = idx.explain_with(&ctx, t, alpha, &mut scratch);
+        let _ = idx.explain(&ctx, t, alpha);
     }
     let mut per_key_ns: Vec<u64> = Vec::with_capacity(targets.len());
     let t1 = Instant::now();
     for &t in &targets {
         let k0 = Instant::now();
-        let _ = idx.explain_with(&ctx, t, alpha, &mut scratch);
+        let _ = idx.explain(&ctx, t, alpha);
         per_key_ns.push(k0.elapsed().as_nanos() as u64);
     }
     let secs = t1.elapsed().as_secs_f64();

@@ -1,7 +1,7 @@
 //! `exp_bench_churn` — measures incremental ΔI index maintenance and
 //! writes `BENCH_churn.json`.
 //!
-//! The tentpole claim under test: patching the [`ContextIndex`] in place
+//! The tentpole claim under test: patching the [`ContextIndex`](cce_core::ContextIndex) in place
 //! (insert/evict deltas — free-slot reuse, seed-table cell patches,
 //! incremental twin-hash certificate) makes a context arrival
 //! **explainable ≥10× faster** than the pre-delta path, which rebuilt

@@ -19,7 +19,6 @@ use cce_dataset::{Instance, Label};
 use crate::alpha::Alpha;
 use crate::context::Context;
 use crate::error::ExplainError;
-use crate::index::ExplainScratch;
 use crate::key::RelativeKey;
 use crate::osrk::OsrkMonitor;
 use crate::srk::Srk;
@@ -201,10 +200,9 @@ impl Cce {
         let out = match self.config.mode {
             Mode::Batch => {
                 let idx = crate::ContextIndex::new(&self.ctx);
-                let mut scratch = ExplainScratch::new();
                 (0..self.ctx.len())
                     .filter_map(|t| {
-                        idx.explain_with(&self.ctx, t, self.config.alpha, &mut scratch)
+                        idx.explain(&self.ctx, t, self.config.alpha)
                             .ok()
                             .map(|k| (t, k))
                     })
@@ -260,9 +258,7 @@ impl Cce {
         cce_obs::counter!("cce_batch_memo_hits_total").add((n - reps.len()) as u64);
         cce_obs::counter!("cce_batch_memo_classes_total").add(reps.len() as u64);
 
-        let explain_rep = |c: usize, scratch: &mut ExplainScratch| {
-            idx.explain_with(&self.ctx, reps[c] as usize, self.config.alpha, scratch)
-        };
+        let explain_rep = |c: usize| idx.explain(&self.ctx, reps[c] as usize, self.config.alpha);
         #[cfg(test)]
         let trap = |row: usize| {
             if row == tests::PANIC_TARGET.load(std::sync::atomic::Ordering::Relaxed) {
@@ -274,21 +270,20 @@ impl Cce {
             "cce_batch_explain_ns",
             "mode" => "parallel"
         ));
-        let slots = crate::fanout::fan_out(reps.len(), threads, |c, scratch| {
+        let slots = crate::fanout::fan_out(reps.len(), threads, |c| {
             #[cfg(test)]
             class_of
                 .iter()
                 .enumerate()
                 .filter(|&(_, &cc)| cc as usize == c)
                 .for_each(|(row, _)| trap(row));
-            explain_rep(c, scratch)
+            explain_rep(c)
         });
         let keys = slots.iter().filter(|s| matches!(s, Some(Ok(_)))).count();
         cce_obs::counter!("cce_batch_worker_keys_total").add(keys as u64);
         // Fan classes back out to rows, in row order. A class left unset
         // by a panic is recovered here with each of its rows isolated,
         // so only a genuinely poisoned target loses its key.
-        let mut recovery_scratch = ExplainScratch::new();
         let mut out = Vec::with_capacity(n);
         for (r, &class) in class_of.iter().enumerate() {
             let c = class as usize;
@@ -299,7 +294,7 @@ impl Cce {
                     let attempt = catch_unwind(AssertUnwindSafe(|| {
                         #[cfg(test)]
                         trap(r);
-                        explain_rep(c, &mut recovery_scratch)
+                        explain_rep(c)
                     }));
                     match attempt {
                         Ok(Ok(k)) => out.push((r, k)),

@@ -32,6 +32,9 @@
 //!   per target and report the [`ExplainStatus`] honestly.
 //! * **Scoped parallelism** — distinct classes of one batch fan out over
 //!   up to `threads` scoped workers; results are returned in input order.
+//! * **No per-explain buffers** — every explain, batched or not, runs on
+//!   its thread's live sets and candidate heap (see [`crate::index`]),
+//!   so a warm explain allocates only its key.
 //!
 //! Targets are addressed by **logical index**: position in arrival order
 //! among the live rows (identical to the row index when no eviction has
@@ -41,6 +44,7 @@
 //! [`Cce::explain_all_parallel`]: crate::Cce::explain_all_parallel
 //! [`Srk::explain`]: crate::Srk::explain
 //! [`Srk::explain_budgeted`]: crate::Srk::explain_budgeted
+//! [`ExplainStatus`]: crate::srk::ExplainStatus
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
@@ -51,7 +55,7 @@ use crate::alpha::Alpha;
 use crate::context::Context;
 use crate::error::ExplainError;
 use crate::fanout::fan_out;
-use crate::index::{ContextIndex, ExplainScratch};
+use crate::index::ContextIndex;
 use crate::srk::{BudgetedKey, WorkBudget};
 
 /// Engine tunables: none. The type remains because the `perfbench`
@@ -241,7 +245,7 @@ impl BatchEngine {
         if let Some(hit) = self.memo_get(slot, budget) {
             return hit;
         }
-        let result = self.explain_slot(slot as usize, budget, &mut ExplainScratch::new());
+        let result = self.explain_slot(slot as usize, budget);
         self.memo_put(slot, budget, &result);
         result
     }
@@ -302,13 +306,9 @@ impl BatchEngine {
         pred: Label,
     ) -> Result<BudgetedKey, ExplainError> {
         let slot = self.idx.insert_row(x, pred)?;
-        let result = self.idx.explain_value(
-            x,
-            pred,
-            self.alpha,
-            WorkBudget::unlimited(),
-            &mut ExplainScratch::new(),
-        );
+        let result = self
+            .idx
+            .explain_value(x, pred, self.alpha, WorkBudget::unlimited());
         self.idx.remove_row(slot, x, pred);
         result
     }
@@ -389,13 +389,11 @@ impl BatchEngine {
         budget: WorkBudget,
         threads: usize,
     ) -> Vec<Result<BudgetedKey, ExplainError>> {
-        let explain = |i: usize, scratch: &mut ExplainScratch| {
-            self.explain_slot(misses[i].1 as usize, budget, scratch)
-        };
+        let explain = |i: usize| self.explain_slot(misses[i].1 as usize, budget);
         fan_out(misses.len(), threads, explain)
             .into_iter()
             .enumerate()
-            .map(|(i, r)| r.unwrap_or_else(|| explain(i, &mut ExplainScratch::new())))
+            .map(|(i, r)| r.unwrap_or_else(|| explain(i)))
             .collect()
     }
 
@@ -405,14 +403,9 @@ impl BatchEngine {
     ///
     /// [`Srk::explain`]: crate::Srk::explain
     /// [`Srk::explain_budgeted`]: crate::Srk::explain_budgeted
-    fn explain_slot(
-        &self,
-        slot: usize,
-        budget: WorkBudget,
-        scratch: &mut ExplainScratch,
-    ) -> Result<BudgetedKey, ExplainError> {
+    fn explain_slot(&self, slot: usize, budget: WorkBudget) -> Result<BudgetedKey, ExplainError> {
         let (x, p) = &self.rows[slot];
-        self.idx.explain_value(x, *p, self.alpha, budget, scratch)
+        self.idx.explain_value(x, *p, self.alpha, budget)
     }
 }
 

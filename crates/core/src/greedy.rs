@@ -23,8 +23,12 @@
 //! The twin certificate is consulted only under an unlimited budget: a
 //! finite one must degrade wherever the reference scan would.
 //!
+//! **Buffers.** Each thread keeps one candidate heap, which every run on
+//! that thread reuses: a warm run allocates only the returned key.
+//!
 //! [`Srk::explain_naive`]: crate::Srk::explain_naive
 
+use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -100,10 +104,21 @@ struct Candidate {
     cstamp: usize,
 }
 
-/// The driver's reusable candidate heap; a worker holding one across
-/// its batch keeps the steady-state loop allocation-free.
-#[derive(Debug, Default, Clone)]
-pub struct CandidateHeap(BinaryHeap<Candidate>);
+thread_local! {
+    /// This thread's candidate heap. A run swaps it in at round 1 and
+    /// clears it before any read, then swaps it back when it ends; a
+    /// run that faults or panics drops it instead. Swapped rather than
+    /// borrowed, so the round loop runs outside a closure.
+    static HEAP: RefCell<BinaryHeap<Candidate>> = RefCell::default();
+}
+
+/// Swaps `heap` with this thread's. Out of line, so the thread-local
+/// access does not grow `run` past the size at which it inlines its
+/// source's counts.
+#[inline(never)]
+fn swap_heap(heap: BinaryHeap<Candidate>) -> BinaryHeap<Candidate> {
+    HEAP.replace(heap)
+}
 
 /// A round-0 candidate, scored from the source's seed table.
 fn seeded<S: CountSource>(src: &S, f: usize, initial: usize) -> Candidate {
@@ -128,7 +143,6 @@ pub fn run<S: CountSource>(
     src: &mut S,
     alpha: Alpha,
     budget: WorkBudget,
-    heap: &mut CandidateHeap,
 ) -> Result<GreedyRun, S::Fault> {
     let n = src.n_features();
     let (rows, initial) = src.start()?;
@@ -146,7 +160,7 @@ pub fn run<S: CountSource>(
         src.twin_violators()
     };
 
-    let heap = &mut heap.0;
+    let mut heap = BinaryHeap::new();
     let (mut evaluated, mut eager_scans, mut spent) = (0, 0, 0);
     let mut violators = initial;
     let mut picked = Vec::new();
@@ -182,6 +196,7 @@ pub fn run<S: CountSource>(
                 best
             } else {
                 if round == 1 {
+                    heap = swap_heap(heap);
                     heap.clear();
                     let rest = (0..n).filter(|&f| f != picked[0]);
                     heap.extend(rest.map(|f| seeded(src, f, initial)));
@@ -210,6 +225,9 @@ pub fn run<S: CountSource>(
             violators = src.pick(f)?;
         },
     };
+    if heap.capacity() > 0 {
+        swap_heap(heap);
+    }
     let achieved = 1.0 - violators as f64 / rows as f64;
     Ok(GreedyRun {
         result: status.map(|status| BudgetedKey {

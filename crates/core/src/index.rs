@@ -16,8 +16,17 @@
 //! The index is a count source for the one lazy-greedy driver
 //! ([`crate::greedy`]): scores are `count_and` passes over the live
 //! bitsets, round-0 seeds are tabulated at build time
-//! ([`ClassIndex::seed`]), and the first pick materializes the live sets
+//! (`ClassIndex::seed`), and the first pick materializes the live sets
 //! fused with its intersection (`posting ∩ ¬class`).
+//!
+//! # Live-set buffers
+//!
+//! Each thread keeps one pair of live-set bitsets (`with_live_sets`),
+//! shared by every explain and [`ContextIndex::round_counts`] it runs,
+//! in RAM or paged. They grow to the widest context the thread has
+//! explained and are freed when it exits. No count source reads them
+//! before its first pick overwrites both, so a set left over from
+//! another context, or from a panic, is never consulted.
 //!
 //! # Tail-bit invariant
 //!
@@ -26,10 +35,11 @@
 //! zeroed, `set` refuses out-of-range rows, `grow` adds clear bits, and
 //! intersections only clear bits; every kernel entry checks the
 //! invariant with
-//! [`RowSet::debug_assert_tail_clear`]. This is what lets the fused
+//! `RowSet::debug_assert_tail_clear`. This is what lets the fused
 //! kernels skip per-call tail masking entirely (`b ∩ ¬a` is clean
 //! because `b` is), at every `rows % 64` shape and SIMD lane width.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::convert::Infallible;
 
@@ -38,7 +48,7 @@ use cce_dataset::{Instance, Label};
 use crate::alpha::Alpha;
 use crate::context::Context;
 use crate::error::ExplainError;
-use crate::greedy::{self, record_run, CandidateHeap, CountSource};
+use crate::greedy::{self, record_run, CountSource};
 use crate::kernels;
 use crate::key::RelativeKey;
 use crate::srk::{BudgetedKey, WorkBudget};
@@ -188,25 +198,27 @@ impl RowSet {
     pub(crate) fn word_slice(&self) -> &[u64] {
         &self.words
     }
-}
 
-/// Reusable per-worker buffers for [`ContextIndex::explain_with`]: the
-/// live violator and supporter bitsets and the candidate heap. A worker
-/// that owns one across its batch allocates nothing per target but the
-/// returned key.
-#[derive(Debug, Default, Clone)]
-pub struct ExplainScratch {
-    violators: RowSet,
-    supporters: RowSet,
-    heap: CandidateHeap,
-}
-
-impl ExplainScratch {
-    /// An empty scratch; buffers grow to the context's size on first use
-    /// and are reused afterwards.
-    pub fn new() -> Self {
-        Self::default()
+    /// Resizes the set to `rows` and hands out its words, unreset: for
+    /// a paged source whose first pick overwrites every word before any
+    /// is read.
+    pub(crate) fn words_for(&mut self, rows: usize) -> &mut [u64] {
+        self.rows = rows;
+        self.words.resize(rows.div_ceil(64), 0);
+        &mut self.words
     }
+}
+
+thread_local! {
+    /// This thread's live violator and supporter sets; see the module
+    /// docs.
+    static LIVE_SETS: RefCell<(RowSet, RowSet)> = RefCell::default();
+}
+
+/// Runs `f` on this thread's live violator and supporter sets, as the
+/// last user left them (see the module docs).
+pub(crate) fn with_live_sets<R>(f: impl FnOnce(&mut RowSet, &mut RowSet) -> R) -> R {
+    LIVE_SETS.with_borrow_mut(|(violators, supporters)| f(violators, supporters))
 }
 
 /// One prediction class of the indexed context, with its round-0 seed
@@ -280,11 +292,15 @@ impl CountSource for IndexCounts<'_> {
         self.class.seed[f][self.x0[f] as usize]
     }
 
+    // `surv` and `cover` run once per stale candidate: inlined into the
+    // driver's round loop, they cost one kernel call each.
+    #[inline]
     fn surv(&mut self, f: usize) -> Result<usize, Infallible> {
         let posting = &self.idx.by_value[f][self.x0[f] as usize];
         Ok(self.violators.count_and(posting))
     }
 
+    #[inline]
     fn cover(&mut self, f: usize) -> Result<usize, Infallible> {
         let posting = &self.idx.by_value[f][self.x0[f] as usize];
         Ok(self.supporters.count_and(posting))
@@ -510,10 +526,9 @@ impl ContextIndex {
     }
 
     /// SRK over the index: identical output to [`Srk::explain`], much
-    /// faster when many targets share the context.
-    ///
-    /// Allocates a fresh [`ExplainScratch`] per call; batch loops should
-    /// hold one scratch and call [`ContextIndex::explain_with`] instead.
+    /// faster when many targets share the context. A warm call allocates
+    /// only the returned key: the live sets are this thread's (see the
+    /// module docs).
     ///
     /// # Errors
     /// Same failure modes as [`Srk::explain`].
@@ -525,25 +540,7 @@ impl ContextIndex {
         target: usize,
         alpha: Alpha,
     ) -> Result<RelativeKey, ExplainError> {
-        self.explain_with(ctx, target, alpha, &mut ExplainScratch::new())
-    }
-
-    /// [`ContextIndex::explain`] with caller-provided scratch buffers:
-    /// the steady-state batch path, allocating nothing but the returned
-    /// key once the scratch has grown to the context's size.
-    ///
-    /// # Errors
-    /// Same failure modes as [`Srk::explain`].
-    ///
-    /// [`Srk::explain`]: crate::Srk::explain
-    pub fn explain_with(
-        &self,
-        ctx: &Context,
-        target: usize,
-        alpha: Alpha,
-        scratch: &mut ExplainScratch,
-    ) -> Result<RelativeKey, ExplainError> {
-        self.explain_budgeted_with(ctx, target, alpha, WorkBudget::unlimited(), scratch)
+        self.explain_budgeted(ctx, target, alpha, WorkBudget::unlimited())
             .map(|b| b.key)
     }
 
@@ -556,17 +553,16 @@ impl ContextIndex {
     /// budget is not an error.
     ///
     /// [`Srk::explain_budgeted`]: crate::Srk::explain_budgeted
-    pub fn explain_budgeted_with(
+    pub fn explain_budgeted(
         &self,
         ctx: &Context,
         target: usize,
         alpha: Alpha,
         budget: WorkBudget,
-        scratch: &mut ExplainScratch,
     ) -> Result<BudgetedKey, ExplainError> {
         self.check_frozen(ctx, target)?;
         let (x0, p0) = (ctx.instance(target), ctx.prediction(target));
-        self.explain_value(x0, p0, alpha, budget, scratch)
+        self.explain_value(x0, p0, alpha, budget)
     }
 
     /// Validates a context-addressed explain: the row-index entry points
@@ -605,7 +601,6 @@ impl ContextIndex {
         p0: Label,
         alpha: Alpha,
         budget: WorkBudget,
-        scratch: &mut ExplainScratch,
     ) -> Result<BudgetedKey, ExplainError> {
         if self.is_empty() {
             return Err(ExplainError::EmptyContext);
@@ -620,20 +615,17 @@ impl ContextIndex {
         let Some(class) = self.classes.iter().find(|c| c.label == p0) else {
             return Err(ExplainError::UnknownInstance);
         };
-        let ExplainScratch {
-            violators,
-            supporters,
-            heap,
-        } = scratch;
-        let mut src = IndexCounts {
-            idx: self,
-            x0,
-            class,
-            violators,
-            supporters,
-            materialized: false,
-        };
-        let Ok(run) = greedy::run(&mut src, alpha, budget, heap);
+        let Ok(run) = with_live_sets(|violators, supporters| {
+            let mut src = IndexCounts {
+                idx: self,
+                x0,
+                class,
+                violators,
+                supporters,
+                materialized: false,
+            };
+            greedy::run(&mut src, alpha, budget)
+        });
         record_run!("indexed", &run);
         run.result
     }
@@ -701,7 +693,6 @@ impl ContextIndex {
         x0: &Instance,
         p0: Label,
         picked: &[usize],
-        scratch: &mut ExplainScratch,
     ) -> Result<RoundCounts, ExplainError> {
         self.check_codes(x0)?;
         let n = self.by_value.len();
@@ -718,35 +709,37 @@ impl ContextIndex {
                 &absent
             }
         };
-        let mut src = IndexCounts {
-            idx: self,
-            x0,
-            class,
-            violators: &mut scratch.violators,
-            supporters: &mut scratch.supporters,
-            materialized: false,
-        };
-        let Ok((rows, mut violators)) = src.start();
-        for &f in picked {
-            let Ok(v) = src.pick(f);
-            violators = v;
-        }
-        let (surv, cover) = (0..n)
-            .map(|f| {
-                if picked.is_empty() {
-                    return src.seed(f);
-                }
-                let (Ok(s), Ok(c)) = (src.surv(f), src.cover(f));
-                (s, c)
-            })
-            .unzip();
-        Ok(RoundCounts {
-            rows,
-            violators,
-            twins: self.twin_violators(x0, p0),
-            surv,
-            cover,
-        })
+        Ok(with_live_sets(|violators, supporters| {
+            let mut src = IndexCounts {
+                idx: self,
+                x0,
+                class,
+                violators,
+                supporters,
+                materialized: false,
+            };
+            let Ok((rows, mut violators)) = src.start();
+            for &f in picked {
+                let Ok(v) = src.pick(f);
+                violators = v;
+            }
+            let (surv, cover) = (0..n)
+                .map(|f| {
+                    if picked.is_empty() {
+                        return src.seed(f);
+                    }
+                    let (Ok(s), Ok(c)) = (src.surv(f), src.cover(f));
+                    (s, c)
+                })
+                .unzip();
+            RoundCounts {
+                rows,
+                violators,
+                twins: self.twin_violators(x0, p0),
+                surv,
+                cover,
+            }
+        }))
     }
 
     /// Inserts one live row, returning its slot: the most recently freed
@@ -898,11 +891,24 @@ mod tests {
             .collect()
     }
 
+    /// The address and capacity of this thread's two live-set word
+    /// buffers.
+    fn live_sets_probe() -> [(usize, usize); 2] {
+        with_live_sets(|v, s| [v, s].map(|set| (set.words.as_ptr() as usize, set.words.capacity())))
+    }
+
+    /// Runs `f` on a newly spawned thread, whose live sets and candidate
+    /// heap no explain has touched.
+    fn on_fresh_thread<T: Send>(f: impl FnOnce() -> T + Send) -> T {
+        std::thread::scope(|s| s.spawn(f).join().expect("fresh thread"))
+    }
+
     #[test]
     fn indexed_explain_matches_srk_exactly() {
+        // This thread explains every target after earlier targets, α
+        // values and contexts; a fresh thread must give the same bytes.
         for ctx in contexts() {
             let idx = ContextIndex::new(&ctx);
-            let mut scratch = ExplainScratch::new();
             for &a in &[1.0, 0.95, 0.9] {
                 let alpha = Alpha::new(a).unwrap();
                 let srk = Srk::new(alpha);
@@ -910,9 +916,9 @@ mod tests {
                     let expected = srk.explain(&ctx, t);
                     assert_eq!(idx.explain(&ctx, t, alpha), expected, "α={a} target={t}");
                     assert_eq!(
-                        idx.explain_with(&ctx, t, alpha, &mut scratch),
+                        on_fresh_thread(|| idx.explain(&ctx, t, alpha)),
                         expected,
-                        "scratch-reuse α={a} target={t}"
+                        "fresh thread α={a} target={t}"
                     );
                 }
             }
@@ -926,7 +932,6 @@ mod tests {
         // — across budgets bracketing round boundaries.
         for ctx in contexts() {
             let idx = ContextIndex::new(&ctx);
-            let mut scratch = ExplainScratch::new();
             for &a in &[1.0, 0.95] {
                 let alpha = Alpha::new(a).unwrap();
                 let srk = Srk::new(alpha);
@@ -934,7 +939,7 @@ mod tests {
                     for budget in [0u64, 1, 100, 1_000, 50_000, u64::MAX - 1] {
                         let b = WorkBudget::new(budget);
                         assert_eq!(
-                            idx.explain_budgeted_with(&ctx, t, alpha, b, &mut scratch),
+                            idx.explain_budgeted(&ctx, t, alpha, b),
                             srk.explain_naive_budgeted(&ctx, t, b),
                             "α={a} target={t} budget={budget}"
                         );
@@ -1082,15 +1087,13 @@ mod tests {
         let (xs, ps): (Vec<_>, Vec<_>) = live.iter().cloned().unzip();
         let ctx = Context::new(schema, xs, ps);
         let rebuilt = ContextIndex::new(&ctx);
-        let mut s1 = ExplainScratch::new();
-        let mut s2 = ExplainScratch::new();
         for &a in &[1.0, 0.9] {
             let alpha = Alpha::new(a).unwrap();
             for (t, (x, p)) in live.iter().enumerate() {
                 for budget in [WorkBudget::unlimited(), WorkBudget::new(40)] {
                     assert_eq!(
-                        idx.explain_value(x, *p, alpha, budget, &mut s1),
-                        rebuilt.explain_value(x, *p, alpha, budget, &mut s2),
+                        idx.explain_value(x, *p, alpha, budget),
+                        rebuilt.explain_value(x, *p, alpha, budget),
                         "α={a} target={t} live={}",
                         live.len()
                     );
@@ -1158,9 +1161,8 @@ mod tests {
         let slots_before = idx.slots;
         let x = ctx.instance(3).clone();
         let p = ctx.prediction(3);
-        let mut scratch = ExplainScratch::new();
         let direct = idx
-            .explain_value(&x, p, Alpha::ONE, WorkBudget::unlimited(), &mut scratch)
+            .explain_value(&x, p, Alpha::ONE, WorkBudget::unlimited())
             .unwrap();
         for _ in 0..130 {
             let slot = idx.insert_row(&x, p).unwrap();
@@ -1169,7 +1171,7 @@ mod tests {
         assert_eq!(idx.slots, slots_before + 1);
         assert_eq!(idx.tombstones(), 1);
         let after = idx
-            .explain_value(&x, p, Alpha::ONE, WorkBudget::unlimited(), &mut scratch)
+            .explain_value(&x, p, Alpha::ONE, WorkBudget::unlimited())
             .unwrap();
         assert_eq!(direct, after);
     }
@@ -1204,16 +1206,151 @@ mod tests {
 
     #[test]
     fn scratch_is_reusable_across_contexts_of_different_sizes() {
-        let mut scratch = ExplainScratch::new();
-        for ctx in contexts() {
-            let idx = ContextIndex::new(&ctx);
+        // The thread's live sets grow to the wider context and are then
+        // reused for the narrower one, in both orders.
+        let mut cs = contexts();
+        cs.extend(contexts().into_iter().rev());
+        for ctx in &cs {
+            let idx = ContextIndex::new(ctx);
             for t in (0..ctx.len()).step_by(31) {
+                let (x0, p0) = (ctx.instance(t), ctx.prediction(t));
+                let picked = [t % 3, 5];
                 assert_eq!(
-                    idx.explain_with(&ctx, t, Alpha::ONE, &mut scratch),
-                    idx.explain(&ctx, t, Alpha::ONE),
+                    idx.explain(ctx, t, Alpha::ONE),
+                    on_fresh_thread(|| idx.explain(ctx, t, Alpha::ONE)),
+                    "rows={} target={t}",
+                    ctx.len()
+                );
+                assert_eq!(
+                    idx.round_counts(x0, p0, &picked),
+                    on_fresh_thread(|| idx.round_counts(x0, p0, &picked)),
+                    "rows={} target={t}",
+                    ctx.len()
                 );
             }
         }
+    }
+
+    /// An in-memory store converted from `ctx`, with a cache that holds
+    /// every page.
+    fn paged_of(ctx: &Context) -> crate::PagedContextIndex<crate::persist::MemVfs> {
+        let mut vfs = crate::persist::MemVfs::new();
+        crate::pagestore::write_store(&mut vfs, "ctx.pg", ctx, 256, &[]).unwrap();
+        crate::PagedContextIndex::open(vfs, "ctx.pg", 1 << 24).unwrap()
+    }
+
+    #[test]
+    fn every_explain_path_reuses_the_threads_live_sets() {
+        // 300 rows: 5 words, and still 5 once an ad hoc explain adds a
+        // slot.
+        let raw = synth::loan::generate(300, 11);
+        let ctx = Context::from_recorded(&raw.encode(&BinSpec::uniform(6)));
+        let alpha = Alpha::new(0.95).unwrap();
+        let idx = ContextIndex::new(&ctx);
+        let mut engine = crate::BatchEngine::new(ctx.clone(), alpha);
+        let paged = paged_of(&ctx);
+        let t0 = (0..ctx.len())
+            .find(|&t| {
+                idx.explain(&ctx, t, alpha)
+                    .is_ok_and(|k| k.succinctness() > 0)
+            })
+            .expect("a target whose key needs a pick");
+        let first = live_sets_probe();
+        assert!(first.iter().all(|&(_, cap)| cap >= 5), "{first:?}");
+        let mut paths = 0;
+        let mut check = |path: &str| {
+            paths += 1;
+            assert_eq!(live_sets_probe(), first, "{path} moved the live sets");
+        };
+        for t in (t0..ctx.len()).step_by(13) {
+            let (x0, p0) = (ctx.instance(t), ctx.prediction(t));
+            let _ = idx.explain(&ctx, t, alpha);
+            check("explain");
+            let _ = idx.explain_budgeted(&ctx, t, alpha, WorkBudget::new(60));
+            check("explain_budgeted");
+            let _ = idx.round_counts(x0, p0, &[t % 4, 6]);
+            check("round_counts");
+            // A distinct budget per target keeps the engine's memo cold.
+            let _ = engine.explain_one(t, WorkBudget::new(1_000_000 + t as u64));
+            check("explain_one");
+            let _ = engine.explain_adhoc(x0, p0);
+            check("explain_adhoc");
+            let _ = paged.explain_row(t, alpha);
+            check("explain_row");
+        }
+        assert!(paths >= 6 * 20, "{paths} explains checked");
+    }
+
+    /// A count source over 64 features no real context has, with scores
+    /// no real context reaches. Its run takes two picks, so it leaves the
+    /// thread's candidate heap full of stale candidates that would top
+    /// any later round they were left in.
+    struct Junk {
+        picks: usize,
+    }
+
+    const JUNK_ROWS: usize = 1 << 40;
+
+    impl CountSource for Junk {
+        type Fault = Infallible;
+        fn n_features(&self) -> usize {
+            64
+        }
+        fn start(&mut self) -> Result<(usize, usize), Infallible> {
+            Ok((JUNK_ROWS, JUNK_ROWS))
+        }
+        fn seed(&self, f: usize) -> (usize, usize) {
+            (f, 0)
+        }
+        fn surv(&mut self, _f: usize) -> Result<usize, Infallible> {
+            Ok(0)
+        }
+        fn cover(&mut self, _f: usize) -> Result<usize, Infallible> {
+            Ok(0)
+        }
+        fn pick(&mut self, _f: usize) -> Result<usize, Infallible> {
+            self.picks += 1;
+            Ok(if self.picks < 2 { JUNK_ROWS } else { 0 })
+        }
+    }
+
+    #[test]
+    fn explains_after_a_panic_in_the_live_sets_match_a_fresh_thread() {
+        let ctx = contexts().remove(0);
+        let idx = ContextIndex::new(&ctx);
+        let paged = paged_of(&ctx);
+        let alpha = Alpha::new(0.95).unwrap();
+        let answers = || {
+            (0..ctx.len())
+                .step_by(17)
+                .map(|t| {
+                    let (x0, p0) = (ctx.instance(t), ctx.prediction(t));
+                    (
+                        idx.explain(&ctx, t, alpha),
+                        idx.round_counts(x0, p0, &[t % 5, 2]),
+                        paged.explain_row(t, alpha),
+                    )
+                })
+                .collect::<Vec<_>>()
+        };
+        let want = on_fresh_thread(answers);
+        // Junk: a heap of stale candidates for absent features, then live
+        // sets with every bit set, one wider and one narrower than the
+        // context, abandoned by a panic.
+        let junk = greedy::run(&mut Junk { picks: 0 }, Alpha::ONE, WorkBudget::unlimited());
+        assert_eq!(
+            junk.map(|run| run.result.map(|b| b.key.succinctness())),
+            Ok(Ok(2))
+        );
+        let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            with_live_sets(|violators, supporters| {
+                violators.words_for(3 * ctx.len() + 5).fill(u64::MAX);
+                supporters.words_for(ctx.len() / 2 + 1).fill(u64::MAX);
+                panic!("junk left in the live sets");
+            })
+        }));
+        assert!(poisoned.is_err());
+        assert_eq!(answers(), want);
     }
 
     /// `round_counts` by a literal row scan.
@@ -1266,13 +1403,12 @@ mod tests {
                 part.push(x, p).unwrap();
             }
             let idx = [&ctx, &a, &b].map(ContextIndex::new);
-            let mut scratch = ExplainScratch::new();
             for t in (0..ctx.len()).step_by(37) {
                 let (x0, p0) = (ctx.instance(t), ctx.prediction(t));
                 for k in 0..=3 {
                     let picked: Vec<usize> = (0..k).map(|i| (t + 5 * i) % n).collect();
-                    let [full, ra, rb] = [0, 1, 2]
-                        .map(|i| idx[i].round_counts(x0, p0, &picked, &mut scratch).unwrap());
+                    let [full, ra, rb] =
+                        [0, 1, 2].map(|i| idx[i].round_counts(x0, p0, &picked).unwrap());
                     assert_eq!(full, scanned_counts(&ctx, x0, p0, &picked), "t={t} k={k}");
                     assert_eq!(rb, scanned_counts(&b, x0, p0, &picked), "t={t} k={k}");
                     let sum = |f: fn(&RoundCounts) -> &Vec<usize>| -> Vec<usize> {
@@ -1292,23 +1428,22 @@ mod tests {
     fn round_counts_reject_malformed_requests() {
         let ctx = &contexts()[0];
         let idx = ContextIndex::new(ctx);
-        let mut scratch = ExplainScratch::new();
         let (x0, p0) = (ctx.instance(0), ctx.prediction(0));
         let mut wide = x0.values().to_vec();
         wide.push(0);
         assert!(matches!(
-            idx.round_counts(&Instance::new(wide), p0, &[], &mut scratch),
+            idx.round_counts(&Instance::new(wide), p0, &[]),
             Err(ExplainError::WidthMismatch { .. })
         ));
         let mut bad = x0.values().to_vec();
         bad[1] = ctx.schema().feature(1).cardinality() as u32;
         assert!(matches!(
-            idx.round_counts(&Instance::new(bad), p0, &[], &mut scratch),
+            idx.round_counts(&Instance::new(bad), p0, &[]),
             Err(ExplainError::ValueOutOfRange { feature: 1, .. })
         ));
         let n = ctx.schema().n_features();
         assert!(matches!(
-            idx.round_counts(x0, p0, &[0, n], &mut scratch),
+            idx.round_counts(x0, p0, &[0, n]),
             Err(ExplainError::InvalidConfig { .. })
         ));
     }

@@ -13,7 +13,7 @@
 //! * **avx2** ([`x86`], `x86_64` only) — 256-bit `std::arch` kernels
 //!   using the `vpshufb` nibble-lookup popcount, selected at runtime via
 //!   `is_x86_feature_detected!("avx2")`.
-//! * **neon** ([`neon`], `aarch64` only) — 128-bit kernels built on
+//! * **neon** (`neon`, `aarch64` only) — 128-bit kernels built on
 //!   `vcntq_u8` byte popcounts.
 //!
 //! # Dispatch

@@ -7,7 +7,7 @@
 //! scalability sections contemplate stop growing. This module trades
 //! bounded memory for page faults:
 //!
-//! * [`format`] — the on-disk layout (CRC-framed fixed-stride pages, a
+//! * [`format`](mod@format) — the on-disk layout (CRC-framed fixed-stride pages, a
 //!   checksummed footer directory) plus the atomic writer
 //!   [`write_store`] and the validating reader [`PageStore`];
 //! * [`cache`] — [`LruPageCache`], a byte-budgeted, pin-aware LRU over

@@ -29,19 +29,20 @@
 //! # Concurrency
 //!
 //! Explains take `&self`. Besides the page cache (locked per lookup,
-//! see [`PageStore`]), an explain's only mutable state is its scratch:
-//! two live-set bitsets and the candidate heap. Each explain pops one
-//! from a pool and pushes it back when done, so the pool holds at most
-//! as many scratches as explains ever ran at once.
+//! see [`PageStore`]), an explain's only mutable state is its two
+//! live-set bitsets and the candidate heap, which are the calling
+//! thread's own: the same buffers its in-RAM explains use (see
+//! [`crate::index`] and [`crate::greedy`]). The index itself holds no
+//! lock.
 
 use std::ops::Range;
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use cce_dataset::{Instance, Label};
 
 use crate::alpha::Alpha;
 use crate::error::ExplainError;
-use crate::greedy::{self, record_run, CandidateHeap, CountSource};
+use crate::greedy::{self, record_run, CountSource};
+use crate::index::with_live_sets;
 use crate::kernels;
 use crate::key::RelativeKey;
 use crate::persist::{PersistError, Vfs};
@@ -66,7 +67,7 @@ fn words_of(page: &PageData) -> Result<&[u64], PersistError> {
 }
 
 /// Streams column `col` page by page, summing `visit` over the pages:
-/// it gets the scratch word range, the page's live words, and the page
+/// it gets the live-set word range, the page's live words, and the page
 /// of column `with` (else empty), pinned alongside so a single-page
 /// cache cannot evict one to admit the other.
 fn walk<V: Vfs>(
@@ -94,8 +95,9 @@ fn walk<V: Vfs>(
     Ok(total as usize)
 }
 
-/// The paged count source: the live sets are full-width scratch words,
-/// intersected with posting columns streamed through the page cache.
+/// The paged count source: the live sets are the thread's full-width
+/// live-set words, intersected with posting columns streamed through
+/// the page cache.
 struct PagedCounts<'a, V: Vfs> {
     store: &'a PageStore<V>,
     violators: &'a mut [u64],
@@ -174,33 +176,18 @@ impl<V: Vfs> CountSource for PagedCounts<'_, V> {
     }
 }
 
-/// One explain's working state: the live-set bitsets — the only
-/// full-width bitsets the paged path keeps resident (2 × ⌈rows/64⌉
-/// words) — and the candidate heap.
-#[derive(Debug)]
-struct Scratch {
-    violators: Vec<u64>,
-    supporters: Vec<u64>,
-    heap: CandidateHeap,
-}
-
 /// An out-of-core [`ContextIndex`](crate::ContextIndex): answers the
 /// same explain queries from a [`PageStore`], faulting bitset pages
 /// through the LRU cache instead of holding every posting in RAM.
 #[derive(Debug)]
 pub struct PagedContextIndex<V: Vfs> {
     store: PageStore<V>,
-    /// Idle scratches; an explain pops one (or allocates) and returns it.
-    scratch: Mutex<Vec<Scratch>>,
 }
 
 impl<V: Vfs> PagedContextIndex<V> {
     /// Wraps an opened store.
     pub fn new(store: PageStore<V>) -> Self {
-        Self {
-            store,
-            scratch: Mutex::new(Vec::new()),
-        }
+        Self { store }
     }
 
     /// Opens the store at `path` and wraps it; see [`PageStore::open`].
@@ -249,7 +236,7 @@ impl<V: Vfs> PagedContextIndex<V> {
     }
 
     /// Budgeted row explain; see
-    /// [`ContextIndex::explain_budgeted_with`](crate::ContextIndex::explain_budgeted_with).
+    /// [`ContextIndex::explain_budgeted`](crate::ContextIndex::explain_budgeted).
     ///
     /// # Errors
     /// Same failure modes as [`PagedContextIndex::explain_row`].
@@ -334,33 +321,22 @@ impl<V: Vfs> PagedContextIndex<V> {
             .collect();
         let posting_col = (0..n).map(|f| geom.value_col(f, x0[f] as usize)).collect();
         let class_col = geom.class_col(ci);
-        let pooled = self.pool().pop();
-        let mut scratch = pooled.unwrap_or_else(|| Scratch {
-            violators: vec![0; geom.words],
-            supporters: vec![0; geom.words],
-            heap: CandidateHeap::default(),
-        });
-        let mut src = PagedCounts {
-            store: &self.store,
-            violators: &mut scratch.violators,
-            supporters: &mut scratch.supporters,
-            posting_col,
-            seeds,
-            class_col,
-            class_size,
-            twin_certificate,
-            materialized: false,
-        };
-        let run = greedy::run(&mut src, alpha, budget, &mut scratch.heap);
-        self.pool().push(scratch);
-        let run = run.map_err(storage_err)?;
+        let run = with_live_sets(|violators, supporters| {
+            let mut src = PagedCounts {
+                store: &self.store,
+                violators: violators.words_for(live),
+                supporters: supporters.words_for(live),
+                posting_col,
+                seeds,
+                class_col,
+                class_size,
+                twin_certificate,
+                materialized: false,
+            };
+            greedy::run(&mut src, alpha, budget)
+        })
+        .map_err(storage_err)?;
         record_run!("paged", &run);
         run.result
-    }
-
-    /// The idle-scratch pool, locked. It only ever holds whole
-    /// scratches, so a poisoned lock is taken over.
-    fn pool(&self) -> MutexGuard<'_, Vec<Scratch>> {
-        self.scratch.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }

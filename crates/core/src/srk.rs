@@ -25,7 +25,7 @@ use cce_dataset::{Instance, Label};
 use crate::alpha::Alpha;
 use crate::context::Context;
 use crate::error::ExplainError;
-use crate::greedy::{self, record_run, CandidateHeap, CountSource};
+use crate::greedy::{self, record_run, CountSource};
 use crate::key::RelativeKey;
 
 /// A cap on the violator-scan work one explain call may spend.
@@ -172,7 +172,7 @@ impl Srk {
             violators: Vec::new(),
             supporters: Vec::new(),
         };
-        let Ok(run) = greedy::run(&mut src, self.alpha, budget, &mut CandidateHeap::default());
+        let Ok(run) = greedy::run(&mut src, self.alpha, budget);
         record_run!("srk", &run);
         run.result
     }

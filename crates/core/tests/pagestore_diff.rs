@@ -12,15 +12,15 @@
 //!   page evicted immediately, maximal churn) to everything-resident;
 //! * work budgets, where the paged path must degrade at exactly the
 //!   same scan count with exactly the same partial key;
-//! * concurrent explains: threads sharing one index, its page cache and
-//!   its scratch pool, under a one-page and a mid-size cache budget.
+//! * concurrent explains: threads sharing one index and its page cache,
+//!   each on its own live sets, under a one-page and a mid-size cache
+//!   budget.
 
 use std::sync::Arc;
 
 use cce_core::persist::MemVfs;
 use cce_core::{
-    pagestore::write_store, Alpha, Context, ContextIndex, ExplainScratch, PagedContextIndex, Srk,
-    WorkBudget,
+    pagestore::write_store, Alpha, Context, ContextIndex, PagedContextIndex, Srk, WorkBudget,
 };
 use cce_dataset::{FeatureDef, Instance, Label, Schema};
 use proptest::prelude::*;
@@ -144,10 +144,9 @@ proptest! {
         let alpha = Alpha::ONE;
         let budget = WorkBudget::new(max_scans);
         let index = ContextIndex::new(&ctx);
-        let mut scratch = ExplainScratch::new();
         let paged = paged_of(&ctx, 32, 1 << 20);
         for target in 0..ctx.len() {
-            let ram = index.explain_budgeted_with(&ctx, target, alpha, budget, &mut scratch);
+            let ram = index.explain_budgeted(&ctx, target, alpha, budget);
             let disk = paged.explain_row_budgeted(target, alpha, budget);
             prop_assert_eq!(disk, ram, "budgeted divergence at target {}", target);
         }
@@ -271,11 +270,9 @@ fn concurrent_explains_match_ram_and_naive() {
     // naive reference where both are unbudgeted.
     let index = ContextIndex::new(&ctx);
     let srk = Srk::new(alpha);
-    let mut scratch = ExplainScratch::new();
     let full: Vec<_> = (0..ctx.len())
         .map(|t| {
-            let ram =
-                index.explain_budgeted_with(&ctx, t, alpha, WorkBudget::unlimited(), &mut scratch);
+            let ram = index.explain_budgeted(&ctx, t, alpha, WorkBudget::unlimited());
             assert_eq!(
                 ram,
                 srk.explain_naive_budgeted(&ctx, t, WorkBudget::unlimited()),
@@ -285,7 +282,7 @@ fn concurrent_explains_match_ram_and_naive() {
         })
         .collect();
     let budgeted: Vec<_> = (0..ctx.len())
-        .map(|t| index.explain_budgeted_with(&ctx, t, alpha, budget, &mut scratch))
+        .map(|t| index.explain_budgeted(&ctx, t, alpha, budget))
         .collect();
     assert!(
         budgeted

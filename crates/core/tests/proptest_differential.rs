@@ -1,7 +1,7 @@
-//! Property-based differential tests: the bitset-indexed explain paths
-//! (lazy-greedy [`ContextIndex::explain`] and the scratch-reusing
-//! [`ContextIndex::explain_with`]) and the optimized scan
-//! ([`Srk::explain`]) must agree with the literal Algorithm 1
+//! Property-based differential tests: the bitset-indexed lazy-greedy
+//! [`ContextIndex::explain`] (on a thread that reuses its live sets
+//! across targets and contexts, and on a newly spawned one) and the
+//! optimized scan ([`Srk::explain`]) must agree with the literal Algorithm 1
 //! ([`Srk::explain_naive`]) on every context — keys, achieved
 //! conformity, and failures alike — and the memoizing work-stealing
 //! batch engine ([`Cce::explain_all_parallel`]) must return byte-equal
@@ -18,7 +18,7 @@
 
 use std::sync::Arc;
 
-use cce_core::{Alpha, Cce, CceConfig, Context, ContextIndex, ExplainScratch, Srk};
+use cce_core::{Alpha, Cce, CceConfig, Context, ContextIndex, Srk};
 use cce_dataset::{FeatureDef, Instance, Label, Schema};
 use proptest::prelude::*;
 
@@ -120,7 +120,7 @@ proptest! {
     /// Duplicate-heavy contexts at the 64/128-row word boundaries: a few
     /// distinct base rows tiled across the whole context, with both
     /// same-prediction twins (tiling) and flipped-prediction twins
-    /// (label reassignment), so the memoized + scratch-reusing +
+    /// (label reassignment), so the memoized + live-set-reusing +
     /// lazy-greedy path sees many rows per equivalence class and some
     /// contradictory classes.
     #[test]
@@ -141,16 +141,19 @@ proptest! {
         let alpha = f64::from(alpha_pct) / 100.0;
         assert_all_agree(&ctx, target_seed % rows, alpha);
 
-        // The scratch-reusing path must match a fresh-scratch call even
-        // after being reused across many (duplicate) targets.
+        // This thread reuses its live sets across many (duplicate)
+        // targets and across earlier cases' contexts; a newly spawned
+        // thread must get the same answer.
         let a = Alpha::new(alpha).unwrap();
         let index = ContextIndex::new(&ctx);
-        let mut scratch = ExplainScratch::new();
         for t in (0..rows).step_by(7) {
+            let fresh = std::thread::scope(|s| {
+                s.spawn(|| index.explain(&ctx, t, a)).join().expect("fresh thread")
+            });
             assert_eq!(
-                index.explain_with(&ctx, t, a, &mut scratch),
                 index.explain(&ctx, t, a),
-                "scratch reuse diverged at target {t}"
+                fresh,
+                "live-set reuse diverged at target {t}"
             );
         }
 

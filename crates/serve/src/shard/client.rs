@@ -10,7 +10,7 @@
 //! slow in-flight request on a second connection — is always safe; the
 //! first answer wins and the loser's connection is dropped. Calls run on
 //! the caller's thread, the hedge race too, so no call spawns a thread;
-//! [`call_all`] runs one call per shard in lockstep, so a scatter round
+//! `call_all` runs one call per shard in lockstep, so a scatter round
 //! waits at most one policy window however many shards hang.
 
 use std::io;
@@ -279,7 +279,7 @@ impl ShardClient {
     /// Issues `req`, applying the whole policy: breaker admission, per
     /// attempt deadlines, budgeted retries with full-jitter backoff, and
     /// (for the first attempt) one hedged duplicate if the primary stays
-    /// silent past `hedge_after`. This is [`call_all`] over one client.
+    /// silent past `hedge_after`. This is `call_all` over one client.
     ///
     /// # Errors
     /// [`CallError`] when the shard is down, the breaker is open, the

@@ -38,7 +38,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use cce_core::greedy::{self, CandidateHeap, CountSource};
+use cce_core::greedy::{self, CountSource};
 use cce_core::{Alpha, ExplainError, RoundCounts, WorkBudget};
 use cce_dataset::{Instance, Label};
 
@@ -252,7 +252,6 @@ impl ShardedBackend {
 
         // Restart loop: each iteration runs the whole greedy over one
         // fixed live set; a shard failure shrinks the set and retries.
-        let mut heap = CandidateHeap::default();
         let mut src = ShardCounts {
             backend: self,
             live: Vec::new(),
@@ -266,7 +265,7 @@ impl ShardedBackend {
             if !src.live.contains(&owner) {
                 return unavailable(excluded);
             }
-            match greedy::run(&mut src, self.alpha, budget, &mut heap) {
+            match greedy::run(&mut src, self.alpha, budget) {
                 Ok(run) => {
                     excluded.sort_unstable();
                     return ShardedAnswer::Done {

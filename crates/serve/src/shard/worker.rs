@@ -22,7 +22,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, RwLock, RwLockReadGuard};
 use std::time::Duration;
 
-use cce_core::{Context, ContextIndex, ExplainScratch};
+use cce_core::{Context, ContextIndex};
 use cce_dataset::{csv, schema_io, Instance, Label};
 
 use super::shard_of;
@@ -64,7 +64,7 @@ impl Partition {
         self.rows.read().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn handle(&self, req: Req, stop: &AtomicBool, scratch: &mut ExplainScratch) -> Resp {
+    fn handle(&self, req: Req, stop: &AtomicBool) -> Resp {
         match req {
             Req::Ping => Resp::Pong {
                 shard: self.shard as u32,
@@ -83,7 +83,7 @@ impl Partition {
             Req::Counts { x, pred, picked } => {
                 let picked: Vec<usize> = picked.iter().map(|&f| f as usize).collect();
                 let (x0, p0) = (Instance::new(x), Label(pred));
-                match self.read().index.round_counts(&x0, p0, &picked, scratch) {
+                match self.read().index.round_counts(&x0, p0, &picked) {
                     Ok(c) => {
                         cce_obs::counter!("cce_shard_worker_rounds_total").inc();
                         let wide = |v: Vec<usize>| v.into_iter().map(|c| c as u64).collect();
@@ -232,14 +232,13 @@ fn serve_conn(part: &Partition, stream: TcpStream, stop: &AtomicBool, local: std
     // Answers go straight to the socket under the buffered reader: one
     // frame is one write.
     let mut reader = BufReader::new(stream);
-    let mut scratch = ExplainScratch::new();
     loop {
         let payload = match read_frame(&mut reader) {
             Ok(p) => p,
             Err(_) => return,
         };
         let resp = match Req::decode(&payload) {
-            Ok(req) => part.handle(req, stop, &mut scratch),
+            Ok(req) => part.handle(req, stop),
             Err(e) => Resp::Err {
                 msg: format!("bad request: {e}"),
             },

@@ -4,8 +4,8 @@
 //! When the daemon is started over a converted store (`cce serve
 //! --store`), explain targets address the store's rows; bitset pages
 //! fault in through the LRU cache on demand, so the daemon's resident
-//! footprint is the cache budget plus two scratch bitsets per explain
-//! in flight — not the full posting index. Paged explains run in
+//! footprint is the cache budget plus two live-set bitsets per
+//! connection thread that has explained — not the full posting index. Paged explains run in
 //! parallel on the connection threads: they share only the page cache,
 //! whose lock is held for one lookup or insert, and the store file,
 //! whose lock is held for one ranged read. Page checksums and the

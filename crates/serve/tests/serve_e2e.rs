@@ -890,6 +890,109 @@ fn concurrent_store_explains_match_ram_byte_for_byte() {
     daemon.stop();
 }
 
+/// Repeated store-mode drains with explains in flight: 25 times over, 8
+/// keep-alive clients explain until the daemon, drained mid-stream,
+/// closes them. Every drain completes; every `200` carries the bytes an
+/// in-RAM explain renders, and every other answer is the drain's
+/// refusal.
+#[test]
+fn store_mode_drains_with_explains_in_flight() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::Instant;
+
+    let ctx = loan_ctx(240);
+    let alpha = Alpha::new(ALPHA).unwrap();
+    let srk = Srk::new(alpha);
+    let want: Vec<_> = (0..ctx.len())
+        .map(|t| {
+            explain_response(
+                t,
+                alpha,
+                &srk.explain_budgeted(&ctx, t, WorkBudget::unlimited()),
+            )
+        })
+        .collect();
+    let refusal = cce_serve::http::Response::error_json(503, "server is draining");
+    for round in 0..25 {
+        let daemon = start(store_app(&ctx, AdmissionConfig::default()));
+        let addr = daemon.addr;
+        let answered = AtomicUsize::new(0);
+        let served: Vec<(usize, u16, Vec<u8>)> = std::thread::scope(|s| {
+            let clients: Vec<_> = (0..8)
+                .map(|client| {
+                    let answered = &answered;
+                    s.spawn(move || {
+                        let mut got = Vec::new();
+                        let Ok(stream) = TcpStream::connect(addr) else {
+                            return got;
+                        };
+                        stream.set_nodelay(true).unwrap();
+                        stream
+                            .set_read_timeout(Some(Duration::from_secs(20)))
+                            .unwrap();
+                        let mut reader = BufReader::new(stream.try_clone().unwrap());
+                        let mut stream = stream;
+                        for t in (client..).step_by(8).map(|t| t % 240) {
+                            let body = format!("{{\"target\":{t}}}");
+                            let sent = write!(
+                                stream,
+                                "POST /explain HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
+                                body.len()
+                            );
+                            if sent.and_then(|()| stream.flush()).is_err() {
+                                break;
+                            }
+                            // The drain closes the connection after its
+                            // last answer: the next request finds it shut.
+                            let Ok((status, bytes)) = read_response(&mut reader) else {
+                                break;
+                            };
+                            answered.fetch_add(1, Ordering::SeqCst);
+                            got.push((t, status, bytes));
+                            if status != 200 {
+                                break;
+                            }
+                        }
+                        got
+                    })
+                })
+                .collect();
+            let deadline = Instant::now() + Duration::from_secs(30);
+            while answered.load(Ordering::SeqCst) < 64 {
+                assert!(
+                    Instant::now() < deadline,
+                    "round {round}: the daemon stopped answering before the drain"
+                );
+                std::thread::sleep(Duration::from_micros(200));
+            }
+            daemon.stop();
+            clients
+                .into_iter()
+                .flat_map(|h| h.join().expect("client thread"))
+                .collect()
+        });
+        assert!(
+            served.len() >= 64,
+            "round {round}: {} answers",
+            served.len()
+        );
+        for (t, status, body) in served {
+            if status == 200 {
+                assert_eq!(
+                    body, want[t].body,
+                    "round {round} target {t}: served bytes must match RAM"
+                );
+            } else {
+                assert_eq!(
+                    (status, body),
+                    (refusal.status, refusal.body.clone()),
+                    "round {round} target {t}: only the drain may refuse"
+                );
+            }
+        }
+    }
+}
+
 /// Corrupt every page payload *after* the store was opened (MemVfs
 /// clones share state, modeling on-disk rot under a running daemon):
 /// the CRC catches the first fault and the request maps to `500`.
